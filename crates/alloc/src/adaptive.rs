@@ -12,6 +12,7 @@
 use crate::heuristic::{heuristic_allocation, HeuristicConfig};
 use crate::model::SystemModel;
 use serde::{Deserialize, Serialize};
+use vlc_par::Ctx;
 
 /// Configuration of the κ adaptation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,7 +91,7 @@ pub fn adapt_per_tx_kappa(
             per_tx_kappa: Some(kappas.to_vec()),
             allow_partial_last: start.allow_partial_last,
         };
-        let alloc = heuristic_allocation(&model.channel, &model.led, budget_w, &cfg);
+        let alloc = heuristic_allocation(&model.channel, &model.led, budget_w, &cfg, &Ctx::noop());
         // Sum-log is −∞ while some RX is unserved (tiny budgets); fall back
         // to plain system throughput so the ascent still has a signal.
         let obj = model.sum_log_throughput(&alloc);
@@ -217,7 +218,8 @@ mod tests {
                 ..KappaAdaptConfig::default()
             },
         );
-        let alloc = heuristic_allocation(&model.channel, &model.led, 1.2, &res.config);
+        let alloc =
+            heuristic_allocation(&model.channel, &model.led, 1.2, &res.config, &Ctx::noop());
         assert!(model.is_feasible(&alloc, 1.2));
         assert!(model.system_throughput(&alloc) > 0.0);
     }

@@ -125,6 +125,7 @@ mod tests {
     use crate::optimal::OptimalSolver;
     use vlc_channel::{ChannelMatrix, RxOptics};
     use vlc_geom::{Pose, Room, TxGrid};
+    use vlc_par::Ctx;
 
     /// A 3 × 3 grid with two receivers: 3⁹ ≈ 20k assignments.
     fn tiny_model() -> SystemModel {
@@ -155,7 +156,7 @@ mod tests {
         let m = tiny_model();
         let budget = 0.3;
         let truth = exhaustive_binary(&m, budget, 1 << 21);
-        let report = OptimalSolver::default().solve(&m, budget);
+        let report = OptimalSolver::default().solve(&m, budget, None, &Ctx::noop());
         assert!(
             report.objective >= truth.objective - 0.02 * truth.objective.abs(),
             "solver {} far below binary truth {}",
@@ -169,7 +170,13 @@ mod tests {
         let m = tiny_model();
         let budget = 0.3;
         let truth = exhaustive_binary(&m, budget, 1 << 21);
-        let h = heuristic_allocation(&m.channel, &m.led, budget, &HeuristicConfig::paper());
+        let h = heuristic_allocation(
+            &m.channel,
+            &m.led,
+            budget,
+            &HeuristicConfig::paper(),
+            &Ctx::noop(),
+        );
         let h_bps = m.system_throughput(&h);
         assert!(
             h_bps > 0.85 * truth.system_bps,

@@ -12,8 +12,7 @@ use crate::model::Allocation;
 use serde::{Deserialize, Serialize};
 use vlc_channel::ChannelMatrix;
 use vlc_led::{power::dynamic_resistance, LedParams};
-use vlc_telemetry::Registry;
-use vlc_trace::Span;
+use vlc_par::Ctx;
 
 /// Configuration of the ranking heuristic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -254,50 +253,30 @@ pub fn allocate_by_ranking(
     alloc
 }
 
-/// Convenience: rank and allocate in one call.
+/// Algorithm 1 in one call: rank by SJR, then allocate under the budget.
+///
+/// Telemetry into `ctx.metrics`: wall-time into the
+/// `alloc.heuristic.solve_s` histogram (Fig. 11's cheap side), the number
+/// of scored (TX, RX) candidates into `alloc.heuristic.candidates`, and —
+/// when the budget activates no TX at all — an `alloc.heuristic.infeasible`
+/// count plus an `infeasible_round` event. Tracing: an
+/// `alloc.heuristic.solve` span under `ctx.span`, with
+/// `alloc.heuristic.rank` and `alloc.heuristic.allocate` children for the
+/// two phases. The heuristic runs on the calling thread; `ctx.pool` is
+/// unused.
 pub fn heuristic_allocation(
     channel: &ChannelMatrix,
     led: &LedParams,
     budget_w: f64,
     config: &HeuristicConfig,
+    ctx: &Ctx,
 ) -> Allocation {
-    heuristic_allocation_instrumented(channel, led, budget_w, config, &Registry::noop())
-}
-
-/// [`heuristic_allocation`] with telemetry: wall-time into the
-/// `alloc.heuristic.solve_s` histogram (Fig. 11's cheap side), the number of
-/// scored (TX, RX) candidates into `alloc.heuristic.candidates`, and — when
-/// the budget activates no TX at all — an `alloc.heuristic.infeasible`
-/// count plus an `infeasible_round` event.
-pub fn heuristic_allocation_instrumented(
-    channel: &ChannelMatrix,
-    led: &LedParams,
-    budget_w: f64,
-    config: &HeuristicConfig,
-    telemetry: &Registry,
-) -> Allocation {
-    heuristic_allocation_traced(channel, led, budget_w, config, telemetry, &Span::noop())
-}
-
-/// [`heuristic_allocation_instrumented`] recording an
-/// `alloc.heuristic.solve` span under `parent`, with `alloc.heuristic.rank`
-/// and `alloc.heuristic.allocate` children for the two phases of
-/// Algorithm 1. With a noop parent this is the instrumented path plus one
-/// branch per span site.
-pub fn heuristic_allocation_traced(
-    channel: &ChannelMatrix,
-    led: &LedParams,
-    budget_w: f64,
-    config: &HeuristicConfig,
-    telemetry: &Registry,
-    parent: &Span,
-) -> Allocation {
-    let solve = parent.child("alloc.heuristic.solve");
+    let solve = ctx.span.child("alloc.heuristic.solve");
     solve.attr("kappa", &format!("{}", config.kappa));
     solve.attr("budget_w", &format!("{budget_w}"));
-    let _solve_span = telemetry.span("alloc.heuristic.solve_s");
-    telemetry.counter("alloc.heuristic.solves").inc();
-    telemetry
+    let _solve_span = ctx.metrics.span("alloc.heuristic.solve_s");
+    ctx.metrics.counter("alloc.heuristic.solves").inc();
+    ctx.metrics
         .counter("alloc.heuristic.candidates")
         .add((channel.n_tx() * channel.n_rx()) as u64);
     let ranking = {
@@ -316,8 +295,8 @@ pub fn heuristic_allocation_traced(
         )
     };
     if alloc.active_tx_count() == 0 {
-        telemetry.counter("alloc.heuristic.infeasible").inc();
-        telemetry.event(
+        ctx.metrics.counter("alloc.heuristic.infeasible").inc();
+        ctx.metrics.event(
             "alloc.heuristic",
             "infeasible_round",
             &[("budget_w", &format!("{budget_w}"))],
@@ -351,6 +330,8 @@ mod tests {
     use super::*;
     use vlc_channel::RxOptics;
     use vlc_geom::{Pose, Room, TxGrid};
+    use vlc_telemetry::Registry;
+    use vlc_trace::Span;
 
     fn scenario2_channel() -> ChannelMatrix {
         let room = Room::paper_simulation();
@@ -405,7 +386,8 @@ mod tests {
         let cfg = HeuristicConfig::paper();
         let full_power = dynamic_resistance(&led) * (led.max_swing / 2.0).powi(2);
         for n in [1usize, 4, 10] {
-            let alloc = heuristic_allocation(&ch, &led, full_power * n as f64 + 1e-6, &cfg);
+            let alloc =
+                heuristic_allocation(&ch, &led, full_power * n as f64 + 1e-6, &cfg, &Ctx::noop());
             assert_eq!(alloc.active_tx_count(), n, "budget for {n} TXs");
         }
     }
@@ -416,7 +398,8 @@ mod tests {
         let led = LedParams::cree_xte_paper();
         let full_power = dynamic_resistance(&led) * (led.max_swing / 2.0).powi(2);
         let budget = full_power * 1.5;
-        let strict = heuristic_allocation(&ch, &led, budget, &HeuristicConfig::paper());
+        let strict =
+            heuristic_allocation(&ch, &led, budget, &HeuristicConfig::paper(), &Ctx::noop());
         let partial = heuristic_allocation(
             &ch,
             &led,
@@ -425,6 +408,7 @@ mod tests {
                 allow_partial_last: true,
                 ..HeuristicConfig::paper()
             },
+            &Ctx::noop(),
         );
         assert_eq!(strict.active_tx_count(), 1);
         assert_eq!(partial.active_tx_count(), 2);
@@ -440,7 +424,7 @@ mod tests {
     fn every_tx_serves_exactly_one_rx() {
         let ch = scenario2_channel();
         let led = LedParams::cree_xte_paper();
-        let alloc = heuristic_allocation(&ch, &led, 1.0, &HeuristicConfig::paper());
+        let alloc = heuristic_allocation(&ch, &led, 1.0, &HeuristicConfig::paper(), &Ctx::noop());
         for t in 0..alloc.n_tx() {
             if alloc.tx_total_swing(t) > 0.0 {
                 assert!(alloc.dedicated_rx(t).is_some(), "TX {t} splits its swing");
@@ -452,7 +436,7 @@ mod tests {
     fn zero_budget_activates_nothing() {
         let ch = scenario2_channel();
         let led = LedParams::cree_xte_paper();
-        let alloc = heuristic_allocation(&ch, &led, 0.0, &HeuristicConfig::paper());
+        let alloc = heuristic_allocation(&ch, &led, 0.0, &HeuristicConfig::paper(), &Ctx::noop());
         assert_eq!(alloc.active_tx_count(), 0);
     }
 
@@ -461,12 +445,12 @@ mod tests {
         let ch = scenario2_channel();
         let led = LedParams::cree_xte_paper();
         let telemetry = Registry::new();
-        let alloc = heuristic_allocation_instrumented(
+        let alloc = heuristic_allocation(
             &ch,
             &led,
             0.0,
             &HeuristicConfig::paper(),
-            &telemetry,
+            &Ctx::new(&telemetry, &Span::noop()),
         );
         assert_eq!(alloc.active_tx_count(), 0);
         let snap = telemetry.snapshot();
@@ -487,12 +471,12 @@ mod tests {
         let ch = scenario2_channel();
         let led = LedParams::cree_xte_paper();
         let telemetry = Registry::new();
-        let alloc = heuristic_allocation_instrumented(
+        let alloc = heuristic_allocation(
             &ch,
             &led,
             1.0,
             &HeuristicConfig::paper(),
-            &telemetry,
+            &Ctx::new(&telemetry, &Span::noop()),
         );
         assert!(alloc.active_tx_count() > 0);
         let snap = telemetry.snapshot();

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vlc_channel::{ChannelSoA, SparseChannelView};
-use vlc_par::{Jobs, Pool};
+use vlc_par::{Ctx, Pool};
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
 
@@ -371,11 +371,12 @@ fn project_slice(x: &mut [f64], n_tx: usize, n_rx: usize, max_swing: f64, r: f64
 /// ```
 /// use vlc_alloc::{OptimalSolver, model::SystemModel};
 /// use vlc_channel::ChannelMatrix;
+/// use vlc_par::Ctx;
 ///
 /// // A toy 2-TX / 2-RX system with clean, symmetric channels.
 /// let h = ChannelMatrix::from_gains(2, 2, vec![1e-6, 0.0, 0.0, 1e-6]);
 /// let model = SystemModel::paper(h);
-/// let report = OptimalSolver::quick().solve(&model, 0.15);
+/// let report = OptimalSolver::quick().solve(&model, 0.15, None, &Ctx::noop());
 /// assert!(model.is_feasible(&report.allocation, 0.15));
 /// assert!(report.objective.is_finite()); // both receivers served
 /// ```
@@ -426,224 +427,81 @@ impl OptimalSolver {
         }
     }
 
-    /// Solves the program for `model` under a communication power budget.
+    /// Solves the program for `model` under a communication power budget,
+    /// optionally seeded with a previous allocation.
     ///
-    /// The independent ascent starts fan out over `DENSEVLC_JOBS` workers
-    /// (sequential when that resolves to 1); the report is bitwise
-    /// identical for any worker count — see [`Self::solve_jobs`].
+    /// The independent ascent starts fan out over `ctx`'s pool (or one
+    /// sized from `DENSEVLC_JOBS`). Each start's projected-gradient ascent
+    /// is an independent work item; the winner is selected by scanning the
+    /// per-start results in start order (first finite objective seeds the
+    /// incumbent, only a strictly greater objective replaces it), which is
+    /// exactly the sequential selection rule — so ties keep the lowest
+    /// start index and the report is bitwise identical for any worker
+    /// count.
+    ///
+    /// `warm` is projected back onto the feasible set and run as an extra
+    /// start. On a mobility tick the channel changes slightly, so the
+    /// previous plan is usually in the optimum's basin: the warm start
+    /// converges in a few iterations and — being start 0 in the
+    /// tie-keeps-lowest-index reduction — wins ties, keeping plans stable
+    /// across ticks. A seed of the wrong shape is ignored; a used one bumps
+    /// `alloc.optimal.warm_starts` and tags the solve span `warm=true`.
+    ///
+    /// Telemetry: wall-time into the `alloc.optimal.solve_s` histogram,
+    /// plus `alloc.optimal.solves`, `.iterations`, `.starts`, and
+    /// `.obj_evals` counters — the cost side of the paper's Fig. 11
+    /// optimal-vs-heuristic comparison. An all-zero result (no TX
+    /// activated) counts as `alloc.optimal.infeasible` and emits an
+    /// `infeasible_round` event. Tracing: an `alloc.optimal.solve` span
+    /// under `ctx.span`, with one `alloc.optimal.start` child per ascent
+    /// start (indexed by start, so the span tree is worker-count
+    /// independent) and an `alloc.optimal.iters` grandchild per batch of
+    /// 50 ascent iterations.
     ///
     /// # Panics
     /// Panics if `budget_w` is non-positive (a zero budget admits only the
     /// all-zero allocation, whose objective is −∞).
-    pub fn solve(&self, model: &SystemModel, budget_w: f64) -> SolveReport {
-        self.solve_instrumented(model, budget_w, &Registry::noop())
-    }
-
-    /// [`Self::solve`] with an explicit worker count.
-    pub fn solve_jobs(&self, model: &SystemModel, budget_w: f64, jobs: Jobs) -> SolveReport {
-        self.solve_instrumented_jobs(model, budget_w, &Registry::noop(), jobs)
-    }
-
-    /// [`Self::solve`] with telemetry: wall-time into the
-    /// `alloc.optimal.solve_s` histogram, plus `alloc.optimal.solves`,
-    /// `.iterations`, `.starts`, and `.obj_evals` counters — the cost side
-    /// of the paper's Fig. 11 optimal-vs-heuristic comparison. An
-    /// all-zero result (no TX activated) counts as `alloc.optimal.infeasible`
-    /// and emits an `infeasible_round` event.
-    pub fn solve_instrumented(
+    pub fn solve(
         &self,
         model: &SystemModel,
         budget_w: f64,
-        telemetry: &Registry,
+        warm: Option<&Allocation>,
+        ctx: &Ctx,
     ) -> SolveReport {
-        self.solve_instrumented_jobs(model, budget_w, telemetry, Jobs::from_env())
+        ctx.on_pool(|pool| self.solve_on(model, budget_w, warm, ctx, pool, Engine::Fast))
     }
 
-    /// [`Self::solve_instrumented`] with an explicit worker count.
-    ///
-    /// Each start's projected-gradient ascent is an independent work item;
-    /// the winner is selected by scanning the per-start results in start
-    /// order (first finite objective seeds the incumbent, only a strictly
-    /// greater objective replaces it), which is exactly the sequential
-    /// selection rule — so ties keep the lowest start index and the report
-    /// is bitwise identical for any `jobs`.
-    pub fn solve_instrumented_jobs(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        telemetry: &Registry,
-        jobs: Jobs,
-    ) -> SolveReport {
-        self.solve_traced_jobs(model, budget_w, telemetry, jobs, &Span::noop())
-    }
-
-    /// [`Self::solve_instrumented_jobs`] recording an `alloc.optimal.solve`
-    /// span under `parent`, with one `alloc.optimal.start` child per ascent
-    /// start (indexed by start, so the span tree is worker-count
-    /// independent) and an `alloc.optimal.iters` grandchild per batch of
-    /// 50 ascent iterations. With a noop parent this is the
-    /// instrumented path plus one branch per span site.
-    pub fn solve_traced_jobs(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        telemetry: &Registry,
-        jobs: Jobs,
-        parent: &Span,
-    ) -> SolveReport {
-        self.solve_core(model, budget_w, telemetry, jobs, parent, None, Engine::Fast)
-    }
-
-    /// [`Self::solve_jobs`] forced through the historical dense kernels
+    /// [`Self::solve`] (cold) forced through the historical dense kernels
     /// (per-iteration gradient allocation, AoS gain loads, no live-link
     /// skipping). Retained as the bit-identity oracle for the sparse/SoA
     /// fast engine — `tests/sparse_solver_identity.rs` asserts both produce
     /// the same report to the last bit — and for perf A/Bs.
-    pub fn solve_dense_jobs(&self, model: &SystemModel, budget_w: f64, jobs: Jobs) -> SolveReport {
-        self.solve_core(
-            model,
-            budget_w,
-            &Registry::noop(),
-            jobs,
-            &Span::noop(),
-            None,
-            Engine::Dense,
-        )
+    pub fn solve_dense(&self, model: &SystemModel, budget_w: f64, ctx: &Ctx) -> SolveReport {
+        ctx.on_pool(|pool| self.solve_on(model, budget_w, None, ctx, pool, Engine::Dense))
     }
 
-    /// [`Self::solve_dense_jobs`] on a caller-supplied pool (see
-    /// [`Self::solve_traced_pooled`]): the dense-oracle A/B can share the
-    /// harness's hoisted pool instead of building one per solve.
-    pub fn solve_dense_pooled(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        pool: &Pool,
-    ) -> SolveReport {
-        self.solve_core_pooled(
-            model,
-            budget_w,
-            &Registry::noop(),
-            pool,
-            &Span::noop(),
-            None,
-            Engine::Dense,
-        )
-    }
-
-    /// [`Self::solve_traced_jobs`] on a caller-supplied pool: no pool is
-    /// created inside the solve, so a long-running control plane (or a
-    /// benchmark harness) can hoist one pool across every solve — watch
-    /// `par.pool.created` stay put.
-    pub fn solve_traced_pooled(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        telemetry: &Registry,
-        pool: &Pool,
-        parent: &Span,
-    ) -> SolveReport {
-        self.solve_core_pooled(model, budget_w, telemetry, pool, parent, None, Engine::Fast)
-    }
-
-    /// [`Self::solve_warm_traced_jobs`] on a caller-supplied pool (see
-    /// [`Self::solve_traced_pooled`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_warm_traced_pooled(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        warm: Option<&Allocation>,
-        telemetry: &Registry,
-        pool: &Pool,
-        parent: &Span,
-    ) -> SolveReport {
-        self.solve_core_pooled(model, budget_w, telemetry, pool, parent, warm, Engine::Fast)
-    }
-
-    /// [`Self::solve`] seeded with a previous allocation (projected back
-    /// onto the feasible set) as an extra ascent start.
-    ///
-    /// On a mobility tick the channel changes slightly, so the previous
-    /// plan is usually in the optimum's basin: the warm start converges in
-    /// a few iterations and — being start 0 in the tie-keeps-lowest-index
-    /// reduction — wins ties, keeping plans stable across ticks. With
-    /// `warm: None` this is exactly [`Self::solve`].
-    pub fn solve_warm(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        warm: Option<&Allocation>,
-    ) -> SolveReport {
-        self.solve_warm_traced_jobs(
-            model,
-            budget_w,
-            warm,
-            &Registry::noop(),
-            Jobs::from_env(),
-            &Span::noop(),
-        )
-    }
-
-    /// [`Self::solve_warm`] with telemetry, an explicit worker count, and
-    /// tracing (see [`Self::solve_traced_jobs`]). A used seed bumps
-    /// `alloc.optimal.warm_starts` and tags the solve span `warm=true`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_warm_traced_jobs(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        warm: Option<&Allocation>,
-        telemetry: &Registry,
-        jobs: Jobs,
-        parent: &Span,
-    ) -> SolveReport {
-        self.solve_core(model, budget_w, telemetry, jobs, parent, warm, Engine::Fast)
-    }
-
-    /// The one solve implementation behind the cold and warm entry points:
-    /// with `warm: None` it is byte-for-byte the historical cold solve
-    /// (same starts, same spans, same counters), and the fast engine
+    /// The one solve implementation behind both engines, on a resolved
+    /// pool: with `warm: None` it is byte-for-byte the historical cold
+    /// solve (same starts, same spans, same counters), and the fast engine
     /// reproduces the dense engine's report bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_core(
+    fn solve_on(
         &self,
         model: &SystemModel,
         budget_w: f64,
-        telemetry: &Registry,
-        jobs: Jobs,
-        parent: &Span,
         warm: Option<&Allocation>,
-        engine: Engine,
-    ) -> SolveReport {
-        let pool = Pool::new(jobs).with_telemetry(telemetry);
-        self.solve_core_pooled(model, budget_w, telemetry, &pool, parent, warm, engine)
-    }
-
-    /// [`Self::solve_core`] minus the pool creation: every jobs-based
-    /// entry builds a throwaway pool above, every `_pooled` entry reuses
-    /// the caller's. Dispatch is identical either way, so both paths
-    /// produce bitwise-identical reports.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_core_pooled(
-        &self,
-        model: &SystemModel,
-        budget_w: f64,
-        telemetry: &Registry,
+        ctx: &Ctx,
         pool: &Pool,
-        parent: &Span,
-        warm: Option<&Allocation>,
         engine: Engine,
     ) -> SolveReport {
         assert!(budget_w > 0.0, "power budget must be positive");
-        let ctx = match engine {
+        let fast = match engine {
             Engine::Fast => Some(SolveContext::new(model)),
             Engine::Dense => None,
         };
-        let trace = parent.child("alloc.optimal.solve");
+        let trace = ctx.span.child("alloc.optimal.solve");
         trace.attr("budget_w", &format!("{budget_w}"));
-        let _solve_span = telemetry.span("alloc.optimal.solve_s");
-        telemetry.counter("alloc.optimal.solves").inc();
+        let _solve_span = ctx.metrics.span("alloc.optimal.solve_s");
+        ctx.metrics.counter("alloc.optimal.solves").inc();
         let n_tx = model.n_tx();
         let n_rx = model.n_rx();
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -656,7 +514,7 @@ impl OptimalSolver {
                 allow_partial_last: true,
                 ..HeuristicConfig::with_kappa(kappa)
             };
-            let a = heuristic_allocation(&model.channel, &model.led, budget_w, &cfg);
+            let a = heuristic_allocation(&model.channel, &model.led, budget_w, &cfg, &Ctx::noop());
             if model.sum_log_throughput(&a).is_finite() {
                 starts.push(a);
             }
@@ -691,7 +549,7 @@ impl OptimalSolver {
                 let mut a = prev.clone();
                 self.project(model, &mut a, budget_w);
                 starts.insert(0, a);
-                telemetry.counter("alloc.optimal.warm_starts").inc();
+                ctx.metrics.counter("alloc.optimal.warm_starts").inc();
                 trace.attr("warm", "true");
             }
         }
@@ -699,7 +557,7 @@ impl OptimalSolver {
         let mut best: Option<(Allocation, f64)> = None;
         let mut total_iters = 0;
         let mut obj_evals = starts.len(); // one initial evaluation per start
-        telemetry
+        ctx.metrics
             .counter("alloc.optimal.starts")
             .add(starts.len() as u64);
         trace.attr("starts", &starts.len().to_string());
@@ -710,8 +568,8 @@ impl OptimalSolver {
             let start_span = trace.child_indexed("alloc.optimal.start", i);
             let mut start = starts[i].clone();
             self.project(model, &mut start, budget_w);
-            let out = match &ctx {
-                Some(ctx) => self.ascend_fast(ctx, start, budget_w, &start_span),
+            let out = match &fast {
+                Some(fast) => self.ascend_fast(fast, start, budget_w, &start_span),
                 None => self.ascend(model, start, budget_w, &start_span),
             };
             start_span.attr("iters", &out.2.to_string());
@@ -733,8 +591,8 @@ impl OptimalSolver {
             None => {
                 // Record the infeasibility before unwinding so a monitoring
                 // registry keeps the evidence.
-                telemetry.counter("alloc.optimal.infeasible").inc();
-                telemetry.event(
+                ctx.metrics.counter("alloc.optimal.infeasible").inc();
+                ctx.metrics.event(
                     "alloc.optimal",
                     "infeasible_round",
                     &[("budget_w", &format!("{budget_w}"))],
@@ -743,15 +601,15 @@ impl OptimalSolver {
             }
         };
         let power_w = model.comm_power(&allocation);
-        telemetry
+        ctx.metrics
             .counter("alloc.optimal.iterations")
             .add(total_iters as u64);
-        telemetry
+        ctx.metrics
             .counter("alloc.optimal.obj_evals")
             .add(obj_evals as u64);
         if allocation.active_tx_count() == 0 {
-            telemetry.counter("alloc.optimal.infeasible").inc();
-            telemetry.event(
+            ctx.metrics.counter("alloc.optimal.infeasible").inc();
+            ctx.metrics.event(
                 "alloc.optimal",
                 "infeasible_round",
                 &[("budget_w", &format!("{budget_w}"))],
@@ -1023,11 +881,11 @@ impl OptimalSolver {
 /// Tick-to-tick replan cache around [`OptimalSolver`].
 ///
 /// Remembers the channel, budget, and report of the previous solve. When
-/// the channel is *unchanged* (exact [`ChannelMatrix`] equality — the
+/// the channel is *unchanged* (exact [`vlc_channel::ChannelMatrix`] equality — the
 /// incremental engine reproduces bitwise-identical matrices for a static
 /// world, so this hits every quiet tick) the replan is skipped entirely
 /// and the previous report returned. Otherwise the solver runs seeded with
-/// the previous allocation via [`OptimalSolver::solve_warm`].
+/// the previous allocation (the `warm` argument of [`OptimalSolver::solve`]).
 ///
 /// State is per-run: create one `WarmOptimal` per simulation run so replays
 /// start cold and stay reproducible.
@@ -1052,56 +910,12 @@ impl WarmOptimal {
         self.last = None;
     }
 
-    /// Solves `model` under `budget_w`, reusing or seeding from the
-    /// previous solve when possible.
-    pub fn solve(
-        &mut self,
-        solver: &OptimalSolver,
-        model: &SystemModel,
-        budget_w: f64,
-    ) -> SolveReport {
-        self.solve_traced_jobs(
-            solver,
-            model,
-            budget_w,
-            &Registry::noop(),
-            Jobs::from_env(),
-            &Span::noop(),
-        )
-    }
-
-    /// [`Self::solve`] with telemetry, an explicit worker count, and
-    /// tracing. An unchanged channel bumps `alloc.optimal.replan_hits`
-    /// and records an `alloc.optimal.cached` span instead of a solve; a
-    /// changed one runs [`OptimalSolver::solve_warm_traced_jobs`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_traced_jobs(
-        &mut self,
-        solver: &OptimalSolver,
-        model: &SystemModel,
-        budget_w: f64,
-        telemetry: &Registry,
-        jobs: Jobs,
-        parent: &Span,
-    ) -> SolveReport {
-        if let Some((channel, budget, report)) = &self.last {
-            if *channel == model.channel && *budget == budget_w {
-                telemetry.counter("alloc.optimal.replan_hits").inc();
-                let span = parent.child("alloc.optimal.cached");
-                span.attr("budget_w", &format!("{budget_w}"));
-                return report.clone();
-            }
-        }
-        let warm = self.last.as_ref().map(|(_, _, r)| r.allocation.clone());
-        let report =
-            solver.solve_warm_traced_jobs(model, budget_w, warm.as_ref(), telemetry, jobs, parent);
-        self.last = Some((model.channel.clone(), budget_w, report.clone()));
-        report
-    }
-
-    /// [`Self::solve_traced_jobs`] on a caller-supplied pool (see
-    /// [`OptimalSolver::solve_traced_pooled`]).
-    #[allow(clippy::too_many_arguments)]
+    /// Solves `model` under `budget_w` on `pool`, reusing or seeding from
+    /// the previous solve when possible. An unchanged channel and budget
+    /// bump `alloc.optimal.replan_hits` and record an
+    /// `alloc.optimal.cached` span under `parent` instead of a solve; a
+    /// changed one runs [`OptimalSolver::solve`] seeded with the previous
+    /// allocation.
     pub fn solve_traced_pooled(
         &mut self,
         solver: &OptimalSolver,
@@ -1120,14 +934,8 @@ impl WarmOptimal {
             }
         }
         let warm = self.last.as_ref().map(|(_, _, r)| r.allocation.clone());
-        let report = solver.solve_warm_traced_pooled(
-            model,
-            budget_w,
-            warm.as_ref(),
-            telemetry,
-            pool,
-            parent,
-        );
+        let ctx = Ctx::new(telemetry, parent).with_pool(pool);
+        let report = solver.solve(model, budget_w, warm.as_ref(), &ctx);
         self.last = Some((model.channel.clone(), budget_w, report.clone()));
         report
     }
@@ -1173,7 +981,7 @@ mod tests {
     fn solution_is_feasible() {
         let m = scenario2_model();
         let budget = 0.5;
-        let report = OptimalSolver::quick().solve(&m, budget);
+        let report = OptimalSolver::quick().solve(&m, budget, None, &Ctx::noop());
         assert!(m.is_feasible(&report.allocation, budget));
         assert!(report.power_w <= budget + 1e-9);
         assert!(report.objective.is_finite());
@@ -1184,7 +992,7 @@ mod tests {
         // Proportional fairness: a starved RX makes the objective −∞, so the
         // optimum serves everyone.
         let m = scenario2_model();
-        let report = OptimalSolver::quick().solve(&m, 0.5);
+        let report = OptimalSolver::quick().solve(&m, 0.5, None, &Ctx::noop());
         for (i, t) in m.throughput(&report.allocation).iter().enumerate() {
             assert!(*t > 0.0, "RX{} starved", i + 1);
         }
@@ -1195,7 +1003,7 @@ mod tests {
         // The solver must be at least as good as its own warm start.
         let m = scenario2_model();
         let budget = 0.5;
-        let report = OptimalSolver::quick().solve(&m, budget);
+        let report = OptimalSolver::quick().solve(&m, budget, None, &Ctx::noop());
         let h = heuristic_allocation(
             &m.channel,
             &m.led,
@@ -1204,6 +1012,7 @@ mod tests {
                 allow_partial_last: true,
                 ..HeuristicConfig::paper()
             },
+            &Ctx::noop(),
         );
         let obj_h = m.sum_log_throughput(&h);
         assert!(
@@ -1222,7 +1031,7 @@ mod tests {
         let m = SystemModel::paper(ChannelMatrix::from_gains(4, 2, vec![0.0; 8]));
         let telemetry = Registry::new();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            OptimalSolver::quick().solve_instrumented(&m, 0.5, &telemetry)
+            OptimalSolver::quick().solve(&m, 0.5, None, &Ctx::new(&telemetry, &Span::noop()))
         }));
         assert!(result.is_err(), "dead channel must not yield a solution");
         let snap = telemetry.snapshot();
@@ -1242,7 +1051,8 @@ mod tests {
     fn feasible_solve_records_work_but_no_infeasible_signal() {
         let m = two_rx_model();
         let telemetry = Registry::new();
-        let report = OptimalSolver::quick().solve_instrumented(&m, 0.4, &telemetry);
+        let report =
+            OptimalSolver::quick().solve(&m, 0.4, None, &Ctx::new(&telemetry, &Span::noop()));
         assert!(report.allocation.active_tx_count() > 0);
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("alloc.optimal.infeasible"), None);
@@ -1267,8 +1077,8 @@ mod tests {
     fn more_budget_never_hurts() {
         let m = two_rx_model();
         let solver = OptimalSolver::quick();
-        let lo = solver.solve(&m, 0.1);
-        let hi = solver.solve(&m, 0.4);
+        let lo = solver.solve(&m, 0.1, None, &Ctx::noop());
+        let hi = solver.solve(&m, 0.4, None, &Ctx::noop());
         assert!(
             hi.objective >= lo.objective - 1e-6,
             "lo {} hi {}",
@@ -1325,7 +1135,7 @@ mod tests {
         let m = two_rx_model();
         let r = dynamic_resistance(&m.led);
         let budget = 0.5 * r * (m.led.max_swing / 2.0).powi(2);
-        let report = OptimalSolver::quick().solve(&m, budget);
+        let report = OptimalSolver::quick().solve(&m, budget, None, &Ctx::noop());
         assert!(
             report.power_w > 0.8 * budget,
             "spent {} of {}",
@@ -1338,16 +1148,17 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_budget_panics() {
         let m = two_rx_model();
-        OptimalSolver::quick().solve(&m, 0.0);
+        OptimalSolver::quick().solve(&m, 0.0, None, &Ctx::noop());
     }
 
     #[test]
-    fn warm_none_is_bitwise_identical_to_cold() {
+    fn caller_pool_is_bitwise_identical_to_env_pool() {
         let m = scenario2_model();
         let solver = OptimalSolver::quick();
-        let cold = solver.solve(&m, 0.5);
-        let warm = solver.solve_warm(&m, 0.5, None);
-        assert_eq!(warm, cold);
+        let env = solver.solve(&m, 0.5, None, &Ctx::noop());
+        let pool = Pool::sequential();
+        let hoisted = solver.solve(&m, 0.5, None, &Ctx::noop().with_pool(&pool));
+        assert_eq!(hoisted, env);
     }
 
     #[test]
@@ -1356,8 +1167,8 @@ mod tests {
         // objective can only match or beat the cold one.
         let m = scenario2_model();
         let solver = OptimalSolver::quick();
-        let cold = solver.solve(&m, 0.5);
-        let warm = solver.solve_warm(&m, 0.5, Some(&cold.allocation));
+        let cold = solver.solve(&m, 0.5, None, &Ctx::noop());
+        let warm = solver.solve(&m, 0.5, Some(&cold.allocation), &Ctx::noop());
         assert!(
             warm.objective >= cold.objective - 1e-12,
             "warm {} < cold {}",
@@ -1373,13 +1184,11 @@ mod tests {
         let solver = OptimalSolver::quick();
         let foreign = Allocation::zeros(3, 3);
         let telemetry = Registry::new();
-        solver.solve_warm_traced_jobs(
+        solver.solve(
             &m,
             0.4,
             Some(&foreign),
-            &telemetry,
-            Jobs::serial(),
-            &Span::noop(),
+            &Ctx::new(&telemetry, &Span::noop()),
         );
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("alloc.optimal.warm_starts"), None);
@@ -1390,11 +1199,10 @@ mod tests {
         let m = two_rx_model();
         let solver = OptimalSolver::quick();
         let telemetry = Registry::new();
+        let pool = Pool::sequential();
         let mut cache = WarmOptimal::new();
-        let first =
-            cache.solve_traced_jobs(&solver, &m, 0.4, &telemetry, Jobs::serial(), &Span::noop());
-        let second =
-            cache.solve_traced_jobs(&solver, &m, 0.4, &telemetry, Jobs::serial(), &Span::noop());
+        let first = cache.solve_traced_pooled(&solver, &m, 0.4, &telemetry, &pool, &Span::noop());
+        let second = cache.solve_traced_pooled(&solver, &m, 0.4, &telemetry, &pool, &Span::noop());
         assert_eq!(second, first, "cached replan returns the same report");
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("alloc.optimal.replan_hits"), Some(1));
@@ -1405,21 +1213,15 @@ mod tests {
     fn warm_optimal_resolves_on_channel_or_budget_change() {
         let solver = OptimalSolver::quick();
         let telemetry = Registry::new();
+        let pool = Pool::sequential();
         let mut cache = WarmOptimal::new();
         let m = two_rx_model();
-        cache.solve_traced_jobs(&solver, &m, 0.4, &telemetry, Jobs::serial(), &Span::noop());
+        cache.solve_traced_pooled(&solver, &m, 0.4, &telemetry, &pool, &Span::noop());
         // A different budget re-solves (seeded by the previous allocation).
-        cache.solve_traced_jobs(&solver, &m, 0.3, &telemetry, Jobs::serial(), &Span::noop());
+        cache.solve_traced_pooled(&solver, &m, 0.3, &telemetry, &pool, &Span::noop());
         // A perturbed channel re-solves too.
         let bumped = SystemModel::paper(m.channel.map(|g| g * 1.01));
-        cache.solve_traced_jobs(
-            &solver,
-            &bumped,
-            0.3,
-            &telemetry,
-            Jobs::serial(),
-            &Span::noop(),
-        );
+        cache.solve_traced_pooled(&solver, &bumped, 0.3, &telemetry, &pool, &Span::noop());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("alloc.optimal.solves"), Some(3));
         assert_eq!(snap.counter("alloc.optimal.warm_starts"), Some(2));

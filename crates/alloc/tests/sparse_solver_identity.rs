@@ -13,7 +13,7 @@ use vlc_alloc::heuristic::{rank_by_sjr, rank_by_sjr_scalar, HeuristicConfig};
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::OptimalSolver;
 use vlc_channel::ChannelMatrix;
-use vlc_par::Jobs;
+use vlc_par::{Ctx, Jobs, Pool};
 
 /// A reduced-effort solver: the identity must hold per evaluation, so a
 /// short ascent exercises it as well as a long one, much faster.
@@ -112,9 +112,9 @@ proptest! {
         budget in 0.02f64..0.5,
     ) {
         let solver = test_solver();
-        let dense = solver.solve_dense_jobs(&model, budget, Jobs::serial());
+        let dense = solver.solve_dense(&model, budget, &Ctx::noop().with_pool(&Pool::new(Jobs::serial())));
         for jobs in [Jobs::serial(), Jobs::max()] {
-            let fast = solver.solve_jobs(&model, budget, jobs);
+            let fast = solver.solve(&model, budget, None, &Ctx::noop().with_pool(&Pool::new(jobs)));
             assert_reports_identical(&fast, &dense)?;
         }
     }
@@ -127,8 +127,8 @@ proptest! {
         budget in 0.02f64..0.5,
     ) {
         let solver = test_solver();
-        let dense = solver.solve_dense_jobs(&model, budget, Jobs::serial());
-        let fast = solver.solve_jobs(&model, budget, Jobs::max());
+        let dense = solver.solve_dense(&model, budget, &Ctx::noop().with_pool(&Pool::new(Jobs::serial())));
+        let fast = solver.solve(&model, budget, None, &Ctx::noop().with_pool(&Pool::new(Jobs::max())));
         assert_reports_identical(&fast, &dense)?;
     }
 

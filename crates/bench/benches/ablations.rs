@@ -15,6 +15,7 @@ use vlc_alloc::analysis::{heuristic_sweep, throughput_at_power};
 use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::model::Allocation;
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
+use vlc_par::Ctx;
 use vlc_testbed::{Deployment, Scenario};
 
 /// Discretizes an allocation: per (TX, RX) stream, snap to full swing when
@@ -47,7 +48,7 @@ fn print_ablation_report() {
 
     // Ablation 1: binary vs continuous optimum.
     let solver = OptimalSolver::quick();
-    let report = solver.solve(&model, budget);
+    let report = solver.solve(&model, budget, None, &Ctx::noop());
     let continuous = model.system_throughput(&report.allocation);
     let binary_alloc = binarize(&report.allocation, model.led.max_swing);
     let binary = model.system_throughput(&binary_alloc);
@@ -75,6 +76,7 @@ fn print_ablation_report() {
         &model.led,
         budget,
         &HeuristicConfig::paper(),
+        &Ctx::noop(),
     );
     let partial = heuristic_allocation(
         &model.channel,
@@ -84,6 +86,7 @@ fn print_ablation_report() {
             allow_partial_last: true,
             ..HeuristicConfig::paper()
         },
+        &Ctx::noop(),
     );
     println!(
         "[ablation] partial-last TX: strict {:.3} Mb/s vs partial {:.3} Mb/s",
@@ -100,7 +103,7 @@ fn bench_ablations(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("binarize_optimal_solution", |b| {
-        let report = OptimalSolver::quick().solve(&model, 1.2);
+        let report = OptimalSolver::quick().solve(&model, 1.2, None, &Ctx::noop());
         b.iter(|| binarize(&report.allocation, model.led.max_swing))
     });
 

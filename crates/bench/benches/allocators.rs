@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use vlc_alloc::heuristic::{heuristic_allocation, rank_by_sjr};
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
+use vlc_par::Ctx;
 use vlc_testbed::{Deployment, Scenario};
 
 fn bench_allocators(c: &mut Criterion) {
@@ -18,14 +19,14 @@ fn bench_allocators(c: &mut Criterion) {
     });
 
     group.bench_function("heuristic_full", |b| {
-        b.iter(|| heuristic_allocation(&model.channel, &model.led, 1.2, &cfg))
+        b.iter(|| heuristic_allocation(&model.channel, &model.led, 1.2, &cfg, &Ctx::noop()))
     });
 
     group.sample_size(10);
     group.bench_function("optimal_solver_quick", |b| {
         b.iter_batched(
             OptimalSolver::quick,
-            |solver| solver.solve(&model, 1.2),
+            |solver| solver.solve(&model, 1.2, None, &Ctx::noop()),
             BatchSize::SmallInput,
         )
     });

@@ -12,7 +12,7 @@ use densevlc::{Simulation, System};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use vlc_alloc::heuristic::heuristic_allocation_traced;
+use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::{HeuristicConfig, OptimalSolver, WarmOptimal};
 use vlc_cell::{BuildingConfig, BuildingEngine, Command};
@@ -22,7 +22,7 @@ use vlc_channel::{
 };
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_led::LedParams;
-use vlc_par::Pool;
+use vlc_par::{Ctx, Pool};
 use vlc_phy::manchester::{manchester_decode, manchester_encode};
 use vlc_phy::packed::PackedChips;
 use vlc_phy::rs::RsCodec;
@@ -53,17 +53,17 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
         pool,
         &probe,
     );
-    heuristic_allocation_traced(
+    let ctx = Ctx::new(&quiet, &probe);
+    heuristic_allocation(
         &dep.model.channel,
         &LedParams::cree_xte_paper(),
         1.2,
         &HeuristicConfig::paper(),
-        &quiet,
-        &probe,
+        &ctx,
     );
-    OptimalSolver::quick().solve_traced_pooled(&dep.model, 1.2, &quiet, pool, &probe);
-    System::scenario(Scenario::Two, 1.2).adapt_traced(&quiet, &probe);
-    Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.25).run_traced(0.6, &quiet, &probe);
+    OptimalSolver::quick().solve(&dep.model, 1.2, None, &ctx.with_pool(pool));
+    System::scenario(Scenario::Two, 1.2).adapt(&ctx);
+    Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.25).run(0.6, &ctx, None);
     let link = NlosSyncLink::between_traced(
         &dep.grid.pose(1),
         &dep.grid.pose(2),
@@ -145,11 +145,11 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     let solver = OptimalSolver::quick();
     {
         let _span = probe.child("sparse.solve.paper");
-        solver.solve_traced_pooled(&dep.model, 1.2, &Registry::noop(), pool, &Span::noop());
+        solver.solve(&dep.model, 1.2, None, &Ctx::noop().with_pool(pool));
     }
     {
         let _span = probe.child("sparse.solve.dense.paper");
-        solver.solve_dense_pooled(&dep.model, 1.2, pool);
+        solver.solve_dense(&dep.model, 1.2, &Ctx::noop().with_pool(pool));
     }
 
     // Synthetic building floor: 144 TX / 16 narrow-FOV RX.
@@ -218,11 +218,11 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     };
     {
         let _span = probe.child("sparse.solve.building");
-        building_solver.solve_traced_pooled(&model, 1.2, &Registry::noop(), pool, &Span::noop());
+        building_solver.solve(&model, 1.2, None, &Ctx::noop().with_pool(pool));
     }
     {
         let _span = probe.child("sparse.solve.dense.building");
-        building_solver.solve_dense_pooled(&model, 1.2, pool);
+        building_solver.solve_dense(&model, 1.2, &Ctx::noop().with_pool(pool));
     }
 }
 

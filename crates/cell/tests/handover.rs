@@ -11,7 +11,7 @@ use vlc_cell::{BuildingConfig, BuildingEngine, Command, ReplanPolicy};
 use vlc_channel::ChannelMatrix;
 use vlc_geom::Pose;
 use vlc_mac::controller::{Controller, ControllerConfig};
-use vlc_par::Pool;
+use vlc_par::{Ctx, Pool};
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
 
@@ -138,7 +138,7 @@ fn optimal_policy_warm_starts_the_destination_solver() {
     // the cold objective.
     let cfg = BuildingConfig::paper(2, 1);
     let model = destination_model(&cfg);
-    let cold = OptimalSolver::quick().solve(&model, cfg.budget_w);
+    let cold = OptimalSolver::quick().solve(&model, cfg.budget_w, None, &Ctx::noop());
     let warm_alloc = engine.shard(1).allocation().expect("dest has a plan");
     let warm_objective = model.sum_log_throughput(warm_alloc);
     assert!(

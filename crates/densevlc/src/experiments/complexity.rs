@@ -12,6 +12,7 @@ use std::time::Instant;
 use vlc_alloc::analysis::{heuristic_sweep, throughput_at_power};
 use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
+use vlc_par::Ctx;
 use vlc_testbed::{Deployment, Scenario};
 
 /// The complexity-comparison result.
@@ -37,7 +38,7 @@ pub fn run(budget_w: f64, solver_reps: usize, heuristic_reps: usize) -> Complexi
     let t0 = Instant::now();
     let mut opt_bps = 0.0;
     for _ in 0..solver_reps {
-        let report = solver.solve(&model, budget_w);
+        let report = solver.solve(&model, budget_w, None, &Ctx::noop());
         opt_bps = model.system_throughput(&report.allocation);
     }
     let optimal_s = t0.elapsed().as_secs_f64() / solver_reps as f64;
@@ -45,7 +46,7 @@ pub fn run(budget_w: f64, solver_reps: usize, heuristic_reps: usize) -> Complexi
     let cfg = HeuristicConfig::paper();
     let t1 = Instant::now();
     for _ in 0..heuristic_reps {
-        let _ = heuristic_allocation(&model.channel, &model.led, budget_w, &cfg);
+        let _ = heuristic_allocation(&model.channel, &model.led, budget_w, &cfg, &Ctx::noop());
     }
     let heuristic_s = t1.elapsed().as_secs_f64() / heuristic_reps as f64;
 

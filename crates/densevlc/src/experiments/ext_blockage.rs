@@ -12,6 +12,7 @@ use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::HeuristicConfig;
 use vlc_channel::{ChannelMatrix, CylinderBlocker};
+use vlc_par::Ctx;
 use vlc_testbed::{Deployment, Scenario};
 
 /// One occluder position's outcome.
@@ -49,6 +50,7 @@ fn throughput_with(d: &Deployment, blockers: &[CylinderBlocker], budget_w: f64) 
         &model.led,
         budget_w,
         &HeuristicConfig::paper(),
+        &Ctx::noop(),
     );
     model.system_throughput(&alloc)
 }

@@ -10,6 +10,7 @@
 use serde::{Deserialize, Serialize};
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::OptimalSolver;
+use vlc_par::Ctx;
 use vlc_testbed::{Deployment, Scenario};
 
 /// The Fig. 9 result: swing maps for two receivers.
@@ -38,7 +39,7 @@ pub fn run(budgets_w: &[f64]) -> Fig09 {
     let mut active = 0usize;
     let full = model.led.max_swing;
     for &b in budgets_w {
-        let report = solver.solve(&model, b);
+        let report = solver.solve(&model, b, None, &Ctx::noop());
         let a = &report.allocation;
         swings_rx1.push((0..model.n_tx()).map(|t| a.swing(t, 0)).collect());
         swings_rx2.push((0..model.n_tx()).map(|t| a.swing(t, 1)).collect());

@@ -11,6 +11,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vlc_alloc::analysis::{heuristic_sweep, throughput_at_power};
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
+use vlc_par::Ctx;
 use vlc_testbed::{random_instances, Deployment, Scenario};
 
 /// Throughput-vs-budget curves on the Fig. 7 instance.
@@ -53,7 +54,7 @@ pub fn run(budgets_w: &[f64], instances: usize, loss_budget_w: f64, seed: u64) -
     let model = Deployment::simulation(&Scenario::Two.rx_positions()).model;
     let optimal_bps: Vec<f64> = budgets_w
         .iter()
-        .map(|&b| model.system_throughput(&solver.solve(&model, b).allocation))
+        .map(|&b| model.system_throughput(&solver.solve(&model, b, None, &Ctx::noop()).allocation))
         .collect();
     let heuristic_bps: Vec<(f64, Vec<f64>)> = PAPER_KAPPAS
         .iter()
@@ -76,7 +77,11 @@ pub fn run(budgets_w: &[f64], instances: usize, loss_budget_w: f64, seed: u64) -
         .collect();
     for placement in &placements {
         let m = Deployment::simulation(placement).model;
-        let opt = m.system_throughput(&solver.solve(&m, loss_budget_w).allocation);
+        let opt = m.system_throughput(
+            &solver
+                .solve(&m, loss_budget_w, None, &Ctx::noop())
+                .allocation,
+        );
         for (k, bucket) in losses.iter_mut() {
             let curve = heuristic_sweep(&m, &HeuristicConfig::with_kappa(*k));
             let h = throughput_at_power(&curve, loss_budget_w);

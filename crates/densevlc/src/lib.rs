@@ -10,11 +10,14 @@
 //!
 //! ```
 //! use densevlc::System;
+//! use vlc_par::Ctx;
 //! use vlc_testbed::Scenario;
 //!
 //! // The paper's testbed: 36 TXs over 3 m × 3 m, four receivers.
 //! let mut system = System::scenario(Scenario::Two, 1.2 /* W budget */);
-//! let round = system.adapt();
+//! // `Ctx` carries the metrics registry, parent span and worker pool;
+//! // `Ctx::noop()` records nothing and sizes the pool from `DENSEVLC_JOBS`.
+//! let round = system.adapt(&Ctx::noop());
 //! assert!(round.plan.beamspots.len() == 4);
 //! assert!(round.system_throughput_bps > 0.0);
 //! ```

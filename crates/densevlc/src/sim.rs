@@ -14,10 +14,9 @@ use vlc_channel::{ChannelMatrix, ChannelUpdater, CylinderBlocker};
 use vlc_geom::Pose;
 use vlc_mac::{BeamspotPlan, Controller, ControllerConfig, PlanCache};
 use vlc_obs::{ObsPlane, TickSample};
-use vlc_par::{Jobs, Pool};
-use vlc_telemetry::{MetricsSnapshot, Registry};
+use vlc_par::{Ctx, Pool};
+use vlc_telemetry::MetricsSnapshot;
 use vlc_testbed::{AcroPositioner, Deployment};
-use vlc_trace::Span;
 
 /// A person walking waypoints while occluding light.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,9 +50,8 @@ pub struct Tick {
 pub struct Timeline {
     /// All ticks in time order.
     pub ticks: Vec<Tick>,
-    /// Telemetry snapshot taken at the end of the run, when the run was
-    /// driven through [`Simulation::run_instrumented`] with a live
-    /// registry. `None` for uninstrumented runs.
+    /// Telemetry snapshot taken at the end of the run, when the run's
+    /// context carried a live registry. `None` for uninstrumented runs.
     pub telemetry: Option<MetricsSnapshot>,
 }
 
@@ -193,11 +191,8 @@ impl Simulation {
     /// since its last plan. The output is bitwise identical to
     /// [`Self::run_cold`] — the incremental layers reproduce the cold
     /// values exactly (see `tests/sim_incremental.rs`) — just faster.
-    pub fn run(&mut self, duration_s: f64) -> Timeline {
-        self.run_instrumented(duration_s, &Registry::noop())
-    }
-
-    /// [`Self::run`] with telemetry: every tick is timed under `sim.tick_s`
+    ///
+    /// Telemetry into `ctx.metrics`: every tick is timed under `sim.tick_s`
     /// and counted into `sim.ticks`; re-plans (forwarded through the
     /// controller's instrumented phases) count into `mac.replans` and the
     /// ticks spent serving traffic on a stale plan into
@@ -205,62 +200,36 @@ impl Simulation {
     /// `channel.cache.hit/partial/miss` and `mac.plan.cache_hits/misses`;
     /// `sim.blocked_links` and the per-receiver `sim.rx{i}.bps` gauges
     /// track the latest tick. With a live registry the returned
-    /// [`Timeline`] embeds the end-of-run snapshot.
-    pub fn run_instrumented(&mut self, duration_s: f64, telemetry: &Registry) -> Timeline {
-        self.run_traced(duration_s, telemetry, &Span::noop())
-    }
-
-    /// [`Self::run_instrumented`] recording a `sim.run` span under
-    /// `parent`, with one `sim.tick` child per tick (indexed by step), the
-    /// incremental engine's `channel.update` tree inside each tick, and
-    /// the controller's `mac.plan` (or `mac.plan.cached`) tree nested
-    /// inside re-planning ticks. With a noop parent this is the
-    /// instrumented path plus one branch per span site.
-    pub fn run_traced(&mut self, duration_s: f64, telemetry: &Registry, parent: &Span) -> Timeline {
-        self.run_engine(duration_s, telemetry, parent, true, None)
-    }
-
-    /// [`Self::run_traced`] streaming into an observability plane: the
+    /// [`Timeline`] embeds the end-of-run snapshot. One pool serves the
+    /// whole run: `ctx.pool`, or one sized from `DENSEVLC_JOBS`.
+    ///
+    /// Tracing: a `sim.run` span under `ctx.span`, with one `sim.tick`
+    /// child per tick (indexed by step), the incremental engine's
+    /// `channel.update` tree inside each tick, and the controller's
+    /// `mac.plan` (or `mac.plan.cached`) tree nested inside re-planning
+    /// ticks.
+    ///
+    /// With `obs`, the run streams into an observability plane: the
     /// plane's meta record is written up front, every tick feeds it a
     /// [`TickSample`] (adding per-receiver SINR next to the throughput the
     /// timeline already carries), and window snapshots / SLO evaluation /
     /// event forwarding happen on the plane's flush cadence. The plane
-    /// only *reads* — the returned [`Timeline`] is byte-identical to
-    /// [`Self::run`]'s (enforced by `tests/obs_stream.rs`). The caller
+    /// only *reads* — the returned [`Timeline`] is byte-identical to an
+    /// unobserved run's (enforced by `tests/obs_stream.rs`). The caller
     /// finishes the stream with [`ObsPlane::finish`] after the run, once
     /// it knows the tracer's span-ring drop count.
-    pub fn run_observed(
-        &mut self,
-        duration_s: f64,
-        telemetry: &Registry,
-        parent: &Span,
-        obs: &mut ObsPlane,
-    ) -> Timeline {
-        obs.begin(self.tick_s, self.deployment.receivers.len());
-        self.run_engine(duration_s, telemetry, parent, true, Some(obs))
+    pub fn run(&mut self, duration_s: f64, ctx: &Ctx, mut obs: Option<&mut ObsPlane>) -> Timeline {
+        if let Some(plane) = obs.as_deref_mut() {
+            plane.begin(self.tick_s, self.deployment.receivers.len());
+        }
+        ctx.on_pool(|pool| self.run_engine(duration_s, ctx, pool, true, obs))
     }
 
     /// [`Self::run`] on the cold engine: rebuild the full channel matrix
     /// and re-plan from scratch every tick, like the pre-incremental code.
     /// Kept as the reference the incremental engine is verified against.
-    pub fn run_cold(&mut self, duration_s: f64) -> Timeline {
-        self.run_cold_instrumented(duration_s, &Registry::noop())
-    }
-
-    /// [`Self::run_cold`] with telemetry (see [`Self::run_instrumented`]).
-    pub fn run_cold_instrumented(&mut self, duration_s: f64, telemetry: &Registry) -> Timeline {
-        self.run_cold_traced(duration_s, telemetry, &Span::noop())
-    }
-
-    /// [`Self::run_cold_instrumented`] with tracing (see
-    /// [`Self::run_traced`]).
-    pub fn run_cold_traced(
-        &mut self,
-        duration_s: f64,
-        telemetry: &Registry,
-        parent: &Span,
-    ) -> Timeline {
-        self.run_engine(duration_s, telemetry, parent, false, None)
+    pub fn run_cold(&mut self, duration_s: f64, ctx: &Ctx) -> Timeline {
+        ctx.on_pool(|pool| self.run_engine(duration_s, ctx, pool, false, None))
     }
 
     /// The tick loop behind both engines. `incremental` selects the warm
@@ -270,22 +239,22 @@ impl Simulation {
     fn run_engine(
         &mut self,
         duration_s: f64,
-        telemetry: &Registry,
-        parent: &Span,
+        ctx: &Ctx,
+        pool: &Pool,
         incremental: bool,
         mut obs: Option<&mut ObsPlane>,
     ) -> Timeline {
+        let telemetry = ctx.metrics;
         assert!(duration_s > 0.0, "duration must be positive");
-        let run = parent.child("sim.run");
+        let run = ctx.span.child("sim.run");
         run.attr("duration_s", &format!("{duration_s}"));
         run.attr("engine", if incremental { "incremental" } else { "cold" });
         let steps = (duration_s / self.tick_s).ceil() as usize;
         let mut ticks = Vec::with_capacity(steps);
-        // Run-local engine state: one worker pool for the whole run
-        // (hoisted out of the per-matrix calls), one channel updater with
-        // ε = 0 (exact: any movement recomputes), one plan cache. Kept off
-        // the struct so serialized simulations and replays stay unaffected.
-        let pool = Pool::new(Jobs::from_env()).with_telemetry(telemetry);
+        // Run-local engine state: one channel updater with ε = 0 (exact:
+        // any movement recomputes) and one plan cache, on the run's one
+        // pool. Kept off the struct so serialized simulations and replays
+        // stay unaffected.
         let mut updater = ChannelUpdater::new(
             &self.deployment.grid,
             self.deployment.half_power_semi_angle,
@@ -318,7 +287,7 @@ impl Simulation {
             // The channel the world currently presents (with occluders).
             let (channel, blocked_links) = if incremental {
                 let update =
-                    updater.update_pooled(&positions, &blockers, &pool, telemetry, &tick_trace);
+                    updater.update_pooled(&positions, &blockers, pool, telemetry, &tick_trace);
                 self.deployment.receivers = positions;
                 self.deployment.model.channel = update.clear;
                 (update.matrix, update.blocked_links)
@@ -401,7 +370,7 @@ mod tests {
     #[test]
     fn static_world_is_stable() {
         let mut s = sim();
-        let tl = s.run(2.0);
+        let tl = s.run(2.0, &Ctx::noop(), None);
         assert_eq!(tl.ticks.len(), 20);
         assert_eq!(tl.outage_fraction(), 0.0);
         // Throughput identical across ticks (nothing moved).
@@ -418,7 +387,7 @@ mod tests {
     #[test]
     fn replanning_happens_at_the_configured_cadence() {
         let mut s = sim();
-        let tl = s.run(2.0);
+        let tl = s.run(2.0, &Ctx::noop(), None);
         // 0.2 s period over 2 s of 0.1 s ticks → ~10 replans.
         assert!((9..=11).contains(&tl.replans()), "{} replans", tl.replans());
     }
@@ -427,7 +396,7 @@ mod tests {
     fn moving_receiver_keeps_service() {
         let mut s = sim();
         s.send_receiver(0, 2.4, 2.4);
-        let tl = s.run(6.0);
+        let tl = s.run(6.0, &Ctx::noop(), None);
         // RX1 ends up crowding RX4's corner; the greedy heuristic (the
         // paper's Algorithm 1) can transiently leave a crowded receiver
         // uncovered in its budgeted prefix, so a few percent of outage
@@ -446,7 +415,7 @@ mod tests {
         // LOS ray — physically correct total shadowing.
         let mut s = sim();
         s.add_person(0.92, 0.92, 0.5, &[]);
-        let tl = s.run(0.5);
+        let tl = s.run(0.5, &Ctx::noop(), None);
         assert!(
             tl.ticks.iter().all(|t| t.blocked_links > 0),
             "occluder blocked nothing"
@@ -462,7 +431,7 @@ mod tests {
         // the controller re-plans onto unblocked TXs and keeps RX1 served.
         let mut s = sim();
         s.add_person(1.32, 0.92, 0.5, &[]);
-        let tl = s.run(1.0);
+        let tl = s.run(1.0, &Ctx::noop(), None);
         assert!(
             tl.ticks.iter().all(|t| t.blocked_links > 0),
             "occluder blocked nothing"
@@ -477,12 +446,12 @@ mod tests {
         let mut fresh = sim();
         fresh.adaptation_period_s = 0.1;
         fresh.send_receiver(0, 2.4, 0.9);
-        let tl_fresh = fresh.run(5.0);
+        let tl_fresh = fresh.run(5.0, &Ctx::noop(), None);
 
         let mut stale = sim();
         stale.adaptation_period_s = 1e9; // never re-plan after the first
         stale.send_receiver(0, 2.4, 0.9);
-        let tl_stale = stale.run(5.0);
+        let tl_stale = stale.run(5.0, &Ctx::noop(), None);
 
         let rx1 = |tl: &Timeline| {
             tl.ticks.iter().map(|t| t.per_rx_bps[0]).sum::<f64>() / tl.ticks.len() as f64
@@ -498,6 +467,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_duration_panics() {
-        sim().run(0.0);
+        sim().run(0.0, &Ctx::noop(), None);
     }
 }

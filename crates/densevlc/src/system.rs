@@ -3,9 +3,8 @@
 use serde::{Deserialize, Serialize};
 use vlc_alloc::analysis::SweepPoint;
 use vlc_mac::{BeamspotPlan, Controller, ControllerConfig};
-use vlc_telemetry::Registry;
+use vlc_par::Ctx;
 use vlc_testbed::{Deployment, Scenario};
-use vlc_trace::Span;
 
 /// The outcome of one adaptation round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -48,28 +47,18 @@ impl System {
 
     /// Runs one adaptation round on the current (true) channel: the
     /// controller plans beamspots and the model evaluates the result.
-    pub fn adapt(&mut self) -> AdaptationRound {
-        self.adapt_instrumented(&Registry::noop())
-    }
-
-    /// [`Self::adapt`] with telemetry: times the full round under
-    /// `sim.adapt_s`, forwards the registry to the controller's planning
-    /// phases, and publishes `sim.system_bps`, `sim.power_w`, and one
-    /// `sim.rx{i}.bps` gauge per receiver.
-    pub fn adapt_instrumented(&mut self, telemetry: &Registry) -> AdaptationRound {
-        self.adapt_traced(telemetry, &Span::noop())
-    }
-
-    /// [`Self::adapt_instrumented`] recording a `sim.adapt` span under
-    /// `parent`, with the controller's `mac.plan` tree nested inside. With
-    /// a noop parent this is the instrumented path plus one branch per
-    /// span site.
-    pub fn adapt_traced(&mut self, telemetry: &Registry, parent: &Span) -> AdaptationRound {
-        let adapt = parent.child("sim.adapt");
-        let _adapt_span = telemetry.span("sim.adapt_s");
+    ///
+    /// Telemetry: times the full round under `sim.adapt_s`, forwards the
+    /// registry to the controller's planning phases, and publishes
+    /// `sim.system_bps`, `sim.power_w`, and one `sim.rx{i}.bps` gauge per
+    /// receiver. Tracing: a `sim.adapt` span under `ctx.span`, with the
+    /// controller's `mac.plan` tree nested inside.
+    pub fn adapt(&mut self, ctx: &Ctx) -> AdaptationRound {
+        let adapt = ctx.span.child("sim.adapt");
+        let _adapt_span = ctx.metrics.span("sim.adapt_s");
         let plan = self
             .controller
-            .plan_traced(&self.deployment.model.channel, telemetry, &adapt);
+            .plan_traced(&self.deployment.model.channel, ctx.metrics, &adapt);
         let per_rx_bps = self.deployment.model.throughput(&plan.allocation);
         let round = AdaptationRound {
             power_w: self.deployment.model.comm_power(&plan.allocation),
@@ -77,12 +66,12 @@ impl System {
             per_rx_bps,
             plan,
         };
-        telemetry
+        ctx.metrics
             .gauge("sim.system_bps")
             .set(round.system_throughput_bps);
-        telemetry.gauge("sim.power_w").set(round.power_w);
+        ctx.metrics.gauge("sim.power_w").set(round.power_w);
         for (i, &bps) in round.per_rx_bps.iter().enumerate() {
-            telemetry.gauge(&format!("sim.rx{i}.bps")).set(bps);
+            ctx.metrics.gauge(&format!("sim.rx{i}.bps")).set(bps);
         }
         adapt.attr("system_bps", &format!("{:.3}", round.system_throughput_bps));
         adapt.attr("power_w", &format!("{:.6}", round.power_w));
@@ -112,7 +101,7 @@ mod tests {
     #[test]
     fn adapt_serves_all_receivers_with_enough_budget() {
         let mut sys = System::scenario(Scenario::Two, 1.2);
-        let round = sys.adapt();
+        let round = sys.adapt(&Ctx::noop());
         assert_eq!(round.plan.beamspots.len(), 4);
         assert!(round.per_rx_bps.iter().all(|&t| t > 0.0));
         assert!(round.power_w <= 1.2 + 1e-9);
@@ -121,17 +110,17 @@ mod tests {
     #[test]
     fn tiny_budget_serves_fewer_receivers() {
         let mut sys = System::scenario(Scenario::Two, 0.08); // one TX's worth
-        let round = sys.adapt();
+        let round = sys.adapt(&Ctx::noop());
         assert_eq!(round.plan.active_txs().len(), 1);
     }
 
     #[test]
     fn moving_a_receiver_changes_the_plan() {
         let mut sys = System::scenario(Scenario::Two, 1.2);
-        let before = sys.adapt();
+        let before = sys.adapt(&Ctx::noop());
         // RX1 walks toward the far corner.
         sys.move_receivers(&[(2.6, 2.6), (1.65, 0.65), (0.72, 1.93), (1.99, 1.69)]);
-        let after = sys.adapt();
+        let after = sys.adapt(&Ctx::noop());
         assert_ne!(before.plan.active_txs(), after.plan.active_txs());
         // The moved receiver is still served (cell-free mobility!).
         assert!(after.plan.beamspot_for(0).is_some());
@@ -142,13 +131,16 @@ mod tests {
     fn throughput_grows_with_budget() {
         let mut lo = System::scenario(Scenario::Two, 0.3);
         let mut hi = System::scenario(Scenario::Two, 1.2);
-        assert!(hi.adapt().system_throughput_bps > lo.adapt().system_throughput_bps);
+        assert!(
+            hi.adapt(&Ctx::noop()).system_throughput_bps
+                > lo.adapt(&Ctx::noop()).system_throughput_bps
+        );
     }
 
     #[test]
     fn evaluate_agrees_with_adapt() {
         let mut sys = System::scenario(Scenario::Three, 0.9);
-        let round = sys.adapt();
+        let round = sys.adapt(&Ctx::noop());
         let point = sys.evaluate(&round.plan);
         assert!((point.system_bps - round.system_throughput_bps).abs() < 1.0);
         assert!((point.power_w - round.power_w).abs() < 1e-9);
@@ -160,7 +152,7 @@ mod tests {
         // The builder accepts any deployment, not just the Table 6 ones.
         let d = vlc_testbed::Deployment::simulation(&[(1.0, 1.0), (2.0, 2.0)]);
         let mut sys = System::new(d, 0.6);
-        let round = sys.adapt();
+        let round = sys.adapt(&Ctx::noop());
         assert_eq!(round.per_rx_bps.len(), 2);
         assert!(round.per_rx_bps.iter().all(|&t| t > 0.0));
     }
@@ -168,7 +160,7 @@ mod tests {
     #[test]
     fn per_rx_throughput_sums_to_system() {
         let mut sys = System::scenario(Scenario::One, 1.0);
-        let round = sys.adapt();
+        let round = sys.adapt(&Ctx::noop());
         let sum: f64 = round.per_rx_bps.iter().sum();
         assert!((sum - round.system_throughput_bps).abs() < 1e-6);
     }

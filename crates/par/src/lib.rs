@@ -37,10 +37,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ctx;
 pub mod jobs;
 pub mod pool;
 pub mod seed;
 
+pub use ctx::Ctx;
 pub use jobs::{available_parallelism, Jobs, JOBS_ENV};
 pub use pool::{par_map_indexed, Pool, DEFAULT_CHUNK};
 pub use seed::{cell_seed, SEED_GAMMA};

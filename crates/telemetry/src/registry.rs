@@ -64,7 +64,7 @@ impl Registry {
     }
 
     /// The inert registry: records nothing, allocates nothing.
-    pub fn noop() -> Self {
+    pub const fn noop() -> Self {
         Registry { inner: None }
     }
 

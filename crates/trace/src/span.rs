@@ -262,7 +262,7 @@ impl std::fmt::Debug for Span {
 impl Span {
     /// The inert span: children are no-ops, attributes vanish, nothing is
     /// recorded on drop. This is what uninstrumented call paths pass.
-    pub fn noop() -> Span {
+    pub const fn noop() -> Span {
         Span { data: None }
     }
 

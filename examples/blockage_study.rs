@@ -12,6 +12,7 @@ use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::HeuristicConfig;
 use vlc_channel::{ChannelMatrix, CylinderBlocker};
+use vlc_par::Ctx;
 use vlc_testbed::{Deployment, Scenario};
 
 fn throughput_with_blockers(d: &Deployment, blockers: &[CylinderBlocker]) -> f64 {
@@ -26,7 +27,13 @@ fn throughput_with_blockers(d: &Deployment, blockers: &[CylinderBlocker]) -> f64
     model.channel = channel;
     // The controller re-plans on the blocked channel (it only sees
     // measurements, so blockage is just another channel realization).
-    let alloc = heuristic_allocation(&model.channel, &model.led, 1.2, &HeuristicConfig::paper());
+    let alloc = heuristic_allocation(
+        &model.channel,
+        &model.led,
+        1.2,
+        &HeuristicConfig::paper(),
+        &Ctx::noop(),
+    );
     model.system_throughput(&alloc)
 }
 

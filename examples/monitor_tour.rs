@@ -10,6 +10,7 @@ use vlc_obs::{
     densevlc_defaults, monitor, parse_stream_strict, AlertState, MemorySink, ObsConfig, ObsPlane,
     ObsRecord, WindowConfig,
 };
+use vlc_par::Ctx;
 use vlc_telemetry::Registry;
 use vlc_testbed::{Deployment, Scenario};
 use vlc_trace::Span;
@@ -42,7 +43,7 @@ fn main() {
             panic_at_tick: None,
         },
     );
-    let timeline = sim.run_observed(3.0, &telemetry, &Span::noop(), &mut plane);
+    let timeline = sim.run(3.0, &Ctx::new(&telemetry, &Span::noop()), Some(&mut plane));
     plane.finish(&telemetry, 0);
     println!(
         "streamed {} ticks, mean system {:.2} Mb/s",

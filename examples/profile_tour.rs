@@ -12,7 +12,7 @@
 
 use densevlc::System;
 use vlc_alloc::OptimalSolver;
-use vlc_par::Jobs;
+use vlc_par::{Ctx, Jobs};
 use vlc_prof::{to_folded, write_flamegraph, Profile, ProfileDiff};
 use vlc_telemetry::Registry;
 use vlc_testbed::Scenario;
@@ -25,18 +25,13 @@ fn traced_round(starts: usize) -> Profile {
     let telemetry = Registry::noop();
     let root = tracer.root("profile_tour");
     let mut system = System::scenario(Scenario::Two, 1.2);
-    system.adapt_traced(&telemetry, &root);
+    let ctx = Ctx::new(&telemetry, &root);
+    system.adapt(&ctx);
     let solver = OptimalSolver {
         random_starts: starts,
         ..OptimalSolver::quick()
     };
-    solver.solve_traced_jobs(
-        &system.deployment.model,
-        1.2,
-        &telemetry,
-        Jobs::from_env(),
-        &root,
-    );
+    solver.solve(&system.deployment.model, 1.2, None, &ctx);
     drop(root);
     Profile::from_snapshot(&tracer.snapshot(), Jobs::from_env().get())
 }

@@ -4,14 +4,19 @@
 //! Run with: `cargo run --example quickstart`
 
 use densevlc::System;
+use vlc_par::Ctx;
 use vlc_telemetry::Registry;
 use vlc_testbed::Scenario;
+use vlc_trace::Span;
 
 fn main() {
     // A live registry: every layer the adaptation round touches records
-    // counters, gauges, and span timings into it (pass `Registry::noop()`
-    // — or call the uninstrumented methods — to skip all of that).
+    // counters, gauges, and span timings into it. Every entry point takes
+    // one `Ctx` (registry, parent span, pool); pass `&Ctx::noop()` to skip
+    // all of that.
     let telemetry = Registry::new();
+    let root = Span::noop();
+    let ctx = Ctx::new(&telemetry, &root);
 
     // Scenario 2 from the paper (Table 6): four receivers amid the grid,
     // with real inter-beamspot interference.
@@ -27,7 +32,7 @@ fn main() {
     );
 
     // One adaptation round: measure → rank → form beamspots.
-    let round = system.adapt_instrumented(&telemetry);
+    let round = system.adapt(&ctx);
     println!(
         "controller formed {} beamspots:",
         round.plan.beamspots.len()
@@ -55,7 +60,7 @@ fn main() {
     // Mobility: RX1 strolls to the far corner; the cell-free design just
     // re-forms its beamspot from whatever TXs now have the best channels.
     system.move_receivers(&[(2.55, 2.55), (1.65, 0.65), (0.72, 1.93), (1.99, 1.69)]);
-    let after = system.adapt_instrumented(&telemetry);
+    let after = system.adapt(&ctx);
     let spot = after.plan.beamspot_for(0).expect("RX1 still served");
     let txs: Vec<String> = spot
         .txs

@@ -13,7 +13,7 @@
 
 use densevlc::System;
 use vlc_alloc::OptimalSolver;
-use vlc_par::Jobs;
+use vlc_par::Ctx;
 use vlc_telemetry::Registry;
 use vlc_testbed::Scenario;
 use vlc_trace::Tracer;
@@ -25,7 +25,8 @@ fn main() {
     // One adaptation round on the paper's Scenario 2, traced end to end.
     let root = tracer.root("trace_tour");
     let mut system = System::scenario(Scenario::Two, 1.2);
-    let round = system.adapt_traced(&telemetry, &root);
+    let ctx = Ctx::new(&telemetry, &root);
+    let round = system.adapt(&ctx);
     println!(
         "adaptation round: {} beamspots, {:.2} Mb/s at {:.3} W",
         round.plan.beamspots.len(),
@@ -36,13 +37,7 @@ fn main() {
     // The optimal solver fans out over random starts; its spans land on
     // per-worker lanes (Perfetto rows) while the *structure* of the tree
     // stays identical for any worker count.
-    OptimalSolver::quick().solve_traced_jobs(
-        &system.deployment.model,
-        1.2,
-        &telemetry,
-        Jobs::from_env(),
-        &root,
-    );
+    OptimalSolver::quick().solve(&system.deployment.model, 1.2, None, &ctx);
     drop(root);
 
     let snapshot = tracer.snapshot();

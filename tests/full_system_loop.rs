@@ -5,9 +5,11 @@ use densevlc::e2e::{run_instrumented as e2e_run, E2eConfig, E2eTx};
 use densevlc::{Simulation, System};
 use vlc_mac::protocol::ChannelReport;
 use vlc_mac::{Controller, ControllerConfig};
+use vlc_par::Ctx;
 use vlc_sync::SyncScheme;
 use vlc_telemetry::Registry;
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Span;
 
 /// The controller reconstructs (up to calibration) the channel from RX
 /// reports and produces the same plan as on the ground-truth channel.
@@ -45,7 +47,7 @@ fn beamspot_follows_a_walking_receiver() {
         let x = 0.5 + 0.2 * step as f64; // RX1 walks diagonally
         let y = 0.5 + 0.2 * step as f64;
         system.move_receivers(&[(x, y), (2.5, 0.5), (0.5, 2.5), (2.5, 2.5)]);
-        let round = system.adapt();
+        let round = system.adapt(&Ctx::noop());
         let spot = round.plan.beamspot_for(0).expect("RX1 always served");
         assert!(round.per_rx_bps[0] > 0.0, "RX1 starved at step {step}");
         // The leader must stay a decent channel for the receiver: within
@@ -80,7 +82,7 @@ fn budget_sweep_is_consistent() {
     let mut prev_bps = 0.0;
     for budget in [0.15, 0.3, 0.6, 0.9, 1.2, 1.8] {
         let mut system = System::scenario(Scenario::Two, budget);
-        let round = system.adapt();
+        let round = system.adapt(&Ctx::noop());
         assert!(round.power_w <= budget + 1e-9, "overspent at {budget} W");
         assert!(
             round.system_throughput_bps >= prev_bps * 0.9,
@@ -106,7 +108,7 @@ fn telemetry_snapshot_reflects_the_full_loop() {
 
     let mut sim = Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.2);
     sim.send_receiver(0, 2.0, 2.0);
-    let timeline = sim.run_instrumented(1.0, &telemetry);
+    let timeline = sim.run(1.0, &Ctx::new(&telemetry, &Span::noop()), None);
 
     // A clean single-host link: every frame should decode without ever
     // exhausting the Reed–Solomon budget.
@@ -139,7 +141,8 @@ fn telemetry_snapshot_reflects_the_full_loop() {
         .expect("instrumented run embeds telemetry");
     assert!(embedded.counter("mac.rounds_planned").unwrap_or(0) >= 1);
     assert!(embedded.counter("phy.frames_decoded").is_none());
-    let plain = Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.2).run(0.5);
+    let plain =
+        Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.2).run(0.5, &Ctx::noop(), None);
     assert!(plain.telemetry.is_none());
 }
 
@@ -151,7 +154,7 @@ fn plans_never_perturb_illumination() {
     use vlc_led::{LedParams, OperatingMode};
     let led = LedParams::cree_xte_paper();
     let mut system = System::scenario(Scenario::Three, 2.0);
-    let round = system.adapt();
+    let round = system.adapt(&Ctx::noop());
     for tx in 0..36 {
         let swing = round.plan.allocation.tx_total_swing(tx);
         let mode = if swing > 0.0 {

@@ -11,7 +11,7 @@ use vlc_alloc::OptimalSolver;
 use vlc_channel::nlos::{floor_bounce_gain_par, wall_bounce_gain_par, NlosConfig};
 use vlc_channel::{ChannelMatrix, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
-use vlc_par::{Jobs, JOBS_ENV};
+use vlc_par::{Ctx, Jobs, Pool, JOBS_ENV};
 
 /// Worker counts exercised everywhere: sequential, even split, a count
 /// that does not divide typical item counts, and every available core.
@@ -116,10 +116,15 @@ fn optimal_solver_report_is_bitwise_identical_for_any_worker_count() {
     let model = SystemModel::paper(h);
     let solver = OptimalSolver::quick();
 
-    let reference = solver.solve_jobs(&model, 1.2, Jobs::serial());
+    let reference = solver.solve(
+        &model,
+        1.2,
+        None,
+        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
+    );
     assert!(reference.objective.is_finite());
     for jobs in job_grid() {
-        let report = solver.solve_jobs(&model, 1.2, jobs);
+        let report = solver.solve(&model, 1.2, None, &Ctx::noop().with_pool(&Pool::new(jobs)));
         assert_bits_eq(
             report.allocation.as_slice(),
             reference.allocation.as_slice(),

@@ -8,6 +8,7 @@ use vlc_alloc::HeuristicConfig;
 use vlc_channel::ChannelMatrix;
 use vlc_led::power::{communication_power_avg, dynamic_resistance};
 use vlc_led::LedParams;
+use vlc_par::Ctx;
 use vlc_phy::frame::{Frame, FrameHeader};
 use vlc_phy::manchester::{manchester_decode, manchester_encode};
 use vlc_phy::rs::ReedSolomon;
@@ -55,7 +56,7 @@ proptest! {
         let led = LedParams::cree_xte_paper();
         let budget_w = budget_mw / 1e3;
         let alloc = heuristic_allocation(
-            &channel, &led, budget_w, &HeuristicConfig::paper());
+            &channel, &led, budget_w, &HeuristicConfig::paper(), &Ctx::noop());
         let r = dynamic_resistance(&led);
         let mut power = 0.0;
         for t in 0..alloc.n_tx() {
@@ -75,7 +76,7 @@ proptest! {
     ) {
         let model = SystemModel::paper(channel);
         let alloc = heuristic_allocation(
-            &model.channel, &model.led, budget_mw / 1e3, &HeuristicConfig::paper());
+            &model.channel, &model.led, budget_mw / 1e3, &HeuristicConfig::paper(), &Ctx::noop());
         for (rx, s) in model.sinr(&alloc).into_iter().enumerate() {
             prop_assert!(s.is_finite() && s >= 0.0, "RX{rx}: SINR {s}");
         }

@@ -9,6 +9,7 @@
 use serde::de::value::{Error as ValueError, F64Deserializer};
 use serde::de::IntoDeserializer;
 use serde::Deserialize;
+use vlc_par::Ctx;
 
 /// Round-trips an `f64` through serde's value deserializer — a smoke check
 /// that the serde wiring compiles and runs end to end.
@@ -64,8 +65,8 @@ fn plans_and_rounds_are_stable_across_clones() {
 
     let mut a = System::scenario(Scenario::Three, 1.2);
     let mut b = a.clone();
-    let ra = a.adapt();
-    let rb = b.adapt();
+    let ra = a.adapt(&Ctx::noop());
+    let rb = b.adapt(&Ctx::noop());
     // Identical systems produce identical plans — the pipeline is
     // deterministic for a fixed channel.
     assert_eq!(ra.plan, rb.plan);

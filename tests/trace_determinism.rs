@@ -7,14 +7,14 @@
 //! Also pins the zero-cost default: entry points called without a live
 //! parent span record no spans at all.
 
-use vlc_alloc::heuristic::heuristic_allocation_traced;
+use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
 use vlc_channel::nlos::{floor_bounce_gain_traced, wall_bounce_gain_traced, NlosConfig};
 use vlc_channel::{ChannelMatrix, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_led::LedParams;
-use vlc_par::Jobs;
+use vlc_par::{Ctx, Jobs, Pool};
 use vlc_telemetry::{ManualClock, Registry};
 use vlc_trace::{Span, TraceSnapshot, Tracer};
 
@@ -59,15 +59,16 @@ fn traced_workload(jobs: Jobs) -> TraceSnapshot {
 
     let model = SystemModel::paper(h);
     let quiet = Registry::noop();
-    heuristic_allocation_traced(
+    let pool = Pool::new(jobs);
+    let ctx = Ctx::new(&quiet, &root).with_pool(&pool);
+    heuristic_allocation(
         &model.channel,
         &LedParams::cree_xte_paper(),
         1.2,
         &HeuristicConfig::paper(),
-        &quiet,
-        &root,
+        &ctx,
     );
-    OptimalSolver::quick().solve_traced_jobs(&model, 1.2, &quiet, jobs, &root);
+    OptimalSolver::quick().solve(&model, 1.2, None, &ctx);
 
     drop(root);
     tracer.snapshot()
@@ -125,8 +126,8 @@ fn untraced_entry_points_record_zero_spans() {
     let quiet = Registry::noop();
 
     let mut system = densevlc::System::scenario(vlc_testbed::Scenario::Two, 1.2);
-    system.adapt(); // plain, uninstrumented entry point
-    system.adapt_instrumented(&quiet); // instrumented, but noop parent inside
+    system.adapt(&Ctx::noop()); // plain, uninstrumented context
+    system.adapt(&Ctx::new(&quiet, &Span::noop())); // explicit registry, noop parent
 
     let snap = tracer.snapshot();
     assert_eq!(snap.len(), 0, "no spans recorded on the default path");
