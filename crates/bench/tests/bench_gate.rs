@@ -37,6 +37,23 @@ fn compare(old: &PathBuf, new: &PathBuf) -> std::process::Output {
 }
 
 #[test]
+fn deeply_nested_input_exits_with_the_documented_codes() {
+    // 200 000 `[` once overflowed the recursive-descent parsers' stacks
+    // (exit 134); both validators must reject it like any invalid file.
+    let deep = tmp("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    let out = compare(&deep, &deep);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("nesting"));
+    let out = Command::new(env!("CARGO_BIN_EXE_obs_check"))
+        .arg(&deep)
+        .output()
+        .expect("obs_check runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("nesting"));
+}
+
+#[test]
 fn same_file_passes_the_gate() {
     let path = tmp("same.json");
     std::fs::write(&path, synthetic_bench(0.1)).unwrap();

@@ -94,7 +94,14 @@ pub fn field_opt<'v>(obj: &'v [(String, JsonValue)], key: &str) -> Option<&'v Js
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// Parses exactly one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse_json`] accepts. Every document
+/// the workspace writes nests a handful of levels; the limit turns a
+/// hostile or corrupt input (say, 200 000 `[`) into a [`ParseError`]
+/// instead of a stack overflow in the recursive descent.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses exactly one JSON document; trailing non-whitespace is an error,
+/// and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse_json(text: &str) -> Result<JsonValue, ParseError> {
     let mut parser = Parser::new(text);
     let value = parser.parse_value()?;
@@ -142,6 +149,8 @@ pub fn push_f64(out: &mut String, v: f64) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -149,6 +158,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -191,8 +201,8 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<JsonValue, ParseError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
             Some(b't') if self.eat_literal("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(JsonValue::Bool(false)),
@@ -200,6 +210,21 @@ impl<'a> Parser<'a> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Runs a container parser one nesting level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, ParseError>,
+    ) -> Result<JsonValue, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_object(&mut self) -> Result<JsonValue, ParseError> {
@@ -347,6 +372,25 @@ mod tests {
         assert_eq!(arr[1].as_f64("d1").unwrap(), 0.0);
         assert!(field_opt(obj, "missing").is_none());
         assert!(field(obj, "missing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.at, MAX_DEPTH);
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse_json(&objects).is_err());
+        // Unterminated and far too deep: rejected at the limit, long before
+        // the end of the input.
+        let err = parse_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

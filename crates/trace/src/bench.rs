@@ -10,8 +10,9 @@
 //! MAD-scaled noise band and an absolute floor, so sub-millisecond jitter
 //! on fast phases never trips the gate.
 
-use crate::json::{escape, parse, Json};
 use crate::snapshot::TraceSnapshot;
+use crate::{json_number, json_string};
+use vlc_telemetry::export::value::{field_opt, parse_json, JsonValue};
 
 /// Schema tag written into every BENCH.json file.
 pub const BENCH_SCHEMA: &str = "densevlc-bench/1";
@@ -153,8 +154,8 @@ impl BenchReport {
     /// name-sorted and floats use shortest-roundtrip formatting).
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\n  \"schema\": \"{}\",\n  \"jobs\": {},\n  \"repeats\": {},\n  \"phases\": {{\n",
-            escape(&self.schema),
+            "{{\n  \"schema\": {},\n  \"jobs\": {},\n  \"repeats\": {},\n  \"phases\": {{\n",
+            json_string(&self.schema),
             self.jobs,
             self.repeats
         );
@@ -163,8 +164,8 @@ impl BenchReport {
             .iter()
             .map(|(name, s)| {
                 format!(
-                    "    \"{}\": {{\"samples\": {}, \"median_s\": {:?}, \"mad_s\": {:?}, \"min_s\": {:?}, \"max_s\": {:?}}}",
-                    escape(name),
+                    "    {}: {{\"samples\": {}, \"median_s\": {:?}, \"mad_s\": {:?}, \"min_s\": {:?}, \"max_s\": {:?}}}",
+                    json_string(name),
                     s.samples,
                     s.median_s,
                     s.mad_s,
@@ -180,23 +181,27 @@ impl BenchReport {
 
     /// Parses a BENCH.json document, validating the schema tag.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = parse(text)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing `schema`")?;
+        let doc = parse_json(text).map_err(|e| e.to_string())?;
+        let JsonValue::Obj(top) = &doc else {
+            return Err("top level must be an object".to_string());
+        };
+        let Some(JsonValue::Str(schema)) = field_opt(top, "schema") else {
+            return Err("missing `schema`".to_string());
+        };
         if schema != BENCH_SCHEMA {
             return Err(format!(
                 "unsupported schema `{schema}` (expected `{BENCH_SCHEMA}`)"
             ));
         }
-        let num = |v: &Json, key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("missing number `{key}`"))
+        let num = |v: &JsonValue, key: &str| -> Result<f64, String> {
+            match v {
+                JsonValue::Obj(fields) => field_opt(fields, key).and_then(json_number),
+                _ => None,
+            }
+            .ok_or(format!("missing number `{key}`"))
         };
-        let phases = match doc.get("phases") {
-            Some(Json::Obj(fields)) => fields,
+        let phases = match field_opt(top, "phases") {
+            Some(JsonValue::Obj(fields)) => fields,
             _ => return Err("missing `phases` object".to_string()),
         };
         let mut entries = Vec::with_capacity(phases.len());
@@ -314,6 +319,17 @@ mod tests {
         let text = r#"{"schema": "something-else/9", "phases": {}}"#;
         assert!(BenchReport::from_json(text).is_err());
         assert!(BenchReport::from_json("{}").is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_null_stats_and_deep_nesting() {
+        let text = report_with("mac.plan", &[0.001]).to_json();
+        let nulled = text.replace("\"median_s\": 0.001", "\"median_s\": null");
+        assert_ne!(nulled, text, "the fixture carries the median");
+        let err = BenchReport::from_json(&nulled).unwrap_err();
+        assert!(err.contains("median_s"), "{err}");
+        let err = BenchReport::from_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

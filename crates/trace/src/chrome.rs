@@ -8,8 +8,9 @@
 //! structural span/parent ids ride in `args`, so the causal tree survives
 //! the export even though the Chrome format itself is flat.
 
-use crate::json::{escape, parse, Json};
 use crate::snapshot::TraceSnapshot;
+use crate::{json_number, json_string};
+use vlc_telemetry::export::value::{field_opt, parse_json, JsonValue};
 
 /// One event read back from a Chrome Trace Event file (the subset this
 /// crate emits: complete `X` events and `M` metadata events).
@@ -71,11 +72,11 @@ impl TraceSnapshot {
                 span.id, span.parent_id
             );
             for (k, v) in &span.attrs {
-                args.push_str(&format!(r#","{}":"{}""#, escape(k), escape(v)));
+                args.push_str(&format!(r#",{}:{}"#, json_string(k), json_string(v)));
             }
             events.push(format!(
-                r#"{{"name":"{}","cat":"densevlc","ph":"X","ts":{:.3},"dur":{:.3},"pid":1,"tid":{},"args":{{{args}}}}}"#,
-                escape(&span.name),
+                r#"{{"name":{},"cat":"densevlc","ph":"X","ts":{:.3},"dur":{:.3},"pid":1,"tid":{},"args":{{{args}}}}}"#,
+                json_string(&span.name),
                 span.start_s * 1e6,
                 span.duration_s() * 1e6,
                 span.track,
@@ -96,36 +97,44 @@ impl TraceSnapshot {
 /// `traceEvents` or a bare event array) into its events, validating the
 /// fields this crate's exporter guarantees.
 pub fn parse_chrome_json(text: &str) -> Result<Vec<ChromeEvent>, String> {
-    let doc = parse(text)?;
+    let doc = parse_json(text).map_err(|e| e.to_string())?;
     let events = match &doc {
-        Json::Arr(_) => &doc,
-        Json::Obj(_) => doc
-            .get("traceEvents")
-            .ok_or("missing `traceEvents` field")?,
+        JsonValue::Arr(_) => &doc,
+        JsonValue::Obj(fields) => {
+            field_opt(fields, "traceEvents").ok_or("missing `traceEvents` field")?
+        }
         _ => return Err("top level must be an object or array".to_string()),
     };
-    let items = events.as_arr().ok_or("`traceEvents` must be an array")?;
+    let JsonValue::Arr(items) = events else {
+        return Err("`traceEvents` must be an array".to_string());
+    };
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        let field_str = |key: &str| -> Result<String, String> {
-            item.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(format!("event {i}: missing string `{key}`"))
+        let fields: &[(String, JsonValue)] = match item {
+            JsonValue::Obj(fields) => fields,
+            _ => &[],
         };
-        let field_num = |key: &str| -> Option<f64> { item.get(key).and_then(Json::as_f64) };
+        let field_str = |key: &str| -> Result<String, String> {
+            match field_opt(fields, key) {
+                Some(JsonValue::Str(s)) => Ok(s.clone()),
+                _ => Err(format!("event {i}: missing string `{key}`")),
+            }
+        };
+        let field_num = |key: &str| -> Option<f64> { field_opt(fields, key).and_then(json_number) };
         let ph = field_str("ph")?;
         if ph == "X" && field_num("dur").is_none() {
             return Err(format!("event {i}: complete event without `dur`"));
         }
-        let args = match item.get("args") {
-            Some(Json::Obj(fields)) => fields
+        let args = match field_opt(fields, "args") {
+            Some(JsonValue::Obj(fields)) => fields
                 .iter()
                 .map(|(k, v)| {
                     let rendered = match v {
-                        Json::Str(s) => s.clone(),
-                        Json::Num(n) => format!("{n}"),
-                        Json::Bool(b) => format!("{b}"),
+                        JsonValue::Str(s) => s.clone(),
+                        JsonValue::Num(text) => {
+                            json_number(v).map_or_else(|| text.clone(), |n| format!("{n}"))
+                        }
+                        JsonValue::Bool(b) => format!("{b}"),
                         other => format!("{other:?}"),
                     };
                     (k.clone(), rendered)
@@ -212,6 +221,9 @@ mod tests {
         assert!(parse_chrome_json(r#"{"traceEvents": 3}"#).is_err());
         assert!(parse_chrome_json(r#"{"traceEvents": [{"ph": "X"}]}"#).is_err());
         assert!(parse_chrome_json("12").is_err());
+        // `null` is not a duration.
+        assert!(parse_chrome_json(r#"[{"name":"a","ph":"X","dur":null}]"#).is_err());
+        assert!(parse_chrome_json(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

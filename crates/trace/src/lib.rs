@@ -37,7 +37,6 @@
 
 pub mod bench;
 pub mod chrome;
-mod json;
 mod snapshot;
 mod span;
 
@@ -49,3 +48,22 @@ pub use snapshot::TraceSnapshot;
 pub use span::{
     current_track, set_current_track, worker_track, Span, SpanRecord, Tracer, DEFAULT_SPAN_CAPACITY,
 };
+
+use vlc_telemetry::export::value::{push_json_string, JsonValue};
+
+/// `s` as a JSON string literal, quotes included.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
+    out
+}
+
+/// The number `v` holds. Stricter than [`JsonValue::as_f64`]: in the
+/// Chrome-trace and BENCH formats `null` is not a number (a missing
+/// measurement must not read as zero seconds).
+fn json_number(v: &JsonValue) -> Option<f64> {
+    match v {
+        JsonValue::Num(text) => text.parse().ok(),
+        _ => None,
+    }
+}

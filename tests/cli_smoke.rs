@@ -116,6 +116,33 @@ fn codecs_lists_the_stack_catalogue() {
 }
 
 #[test]
+fn non_finite_or_non_positive_numeric_flags_exit_2() {
+    // Each once panicked (exit 101) or silently ran a 0 Mb/s round.
+    for args in [
+        &["sim", "--duration", "0"][..],
+        &["sim", "--duration", "NaN"],
+        &["sim", "--period", "0"],
+        &["sim", "--period", "-1"],
+        &["sim", "--budget", "inf"],
+        &["adapt", "--budget", "NaN"],
+        &["adapt", "--budget", "0"],
+        &["adapt", "--budget", "-0.5"],
+        &["map", "--budget", "inf"],
+    ] {
+        let out = cli().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("must be a finite positive number"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    let out = cli().args(["adapt", "--budget", "0.5"]).output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+}
+
+#[test]
 fn default_run_emits_no_observability_artifacts() {
     let out = cli().arg("adapt").output().unwrap();
     assert!(out.status.success());
