@@ -351,3 +351,271 @@ span pin/alloc.optimal.solve x1
 span pin/alloc.optimal.solve/alloc.optimal.start x7
 span pin/alloc.optimal.solve/alloc.optimal.start/alloc.optimal.iters x11
 ";
+
+/// A short fold of f64 bit patterns, so a section's fingerprint also pins
+/// what the entry points returned.
+fn bits_digest(xs: impl IntoIterator<Item = f64>) -> String {
+    let d = xs
+        .into_iter()
+        .fold(0u64, |acc, x| acc.rotate_left(7) ^ x.to_bits());
+    format!("{d:016x}")
+}
+
+#[test]
+fn channel_sync_and_phy_entry_points_keep_counters_histogram_counts_and_span_names() {
+    use densevlc::e2e::{self, E2eConfig, E2eTx};
+    use densevlc::experiments::{tab04_sync_error, tab05_iperf};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use vlc_alloc::exhaustive::exhaustive_binary_jobs;
+    use vlc_alloc::SystemModel;
+    use vlc_channel::lambertian::lambertian_order;
+    use vlc_channel::nlos::{floor_bounce_gain_pooled, wall_bounce_gain_pooled, NlosConfig};
+    use vlc_channel::{
+        ChannelMatrix, ChannelUpdater, CylinderBlocker, FovMask, NlosTxCache, RxOptics,
+    };
+    use vlc_geom::{Pose, Room, TxGrid};
+    use vlc_par::{Jobs, Pool};
+    use vlc_sync::{NlosSyncLink, SyncScheme};
+    use vlc_telemetry::ManualClock;
+    use vlc_trace::Tracer;
+
+    // The sync link and the table runners size their pools from the
+    // environment; pin them to the sequential path.
+    std::env::set_var(vlc_par::JOBS_ENV, "1");
+    let mut got = String::new();
+    let mut section = |name: &str, f: &mut dyn FnMut(&Registry, &Span) -> String| {
+        let reg = Registry::new();
+        let tracer = Tracer::with_clock(ManualClock::new());
+        let root = tracer.root("pin");
+        let value = f(&reg, &root);
+        drop(root);
+        got.push_str(&format!("== {name} {value}\n"));
+        for (gauge, v) in &reg.snapshot().gauges {
+            got.push_str(&format!("gauge {gauge} = {v:e}\n"));
+        }
+        got.push_str(&round_fingerprint(&reg, &tracer));
+    };
+
+    let room = Room::paper_testbed();
+    let grid = TxGrid::paper(&room);
+    let hpsa = 15f64.to_radians();
+    let m = lambertian_order(hpsa);
+    let optics = RxOptics::paper();
+    let narrow = RxOptics {
+        fov_half_angle: 30f64.to_radians(),
+        ..optics
+    };
+    let rxs = [
+        Pose::face_up(0.92, 0.92, 0.8),
+        Pose::face_up(1.65, 0.65, 0.8),
+        Pose::face_up(0.72, 1.93, 0.8),
+    ];
+    let blockers = [CylinderBlocker::person(0.92, 0.92)];
+    let cfg = NlosConfig { patch_size_m: 0.1 };
+    let floor_rx = Pose::face_up(0.92, 0.92, 0.0);
+
+    section("los sounding", &mut |reg, root| {
+        let pool = Pool::new(Jobs::serial()).with_telemetry(reg);
+        let mask = FovMask::compute(&grid, &rxs, &narrow.profile());
+        let h = ChannelMatrix::compute_masked_pooled(
+            &grid,
+            &rxs,
+            hpsa,
+            &narrow,
+            &blockers,
+            Some(&mask),
+            &pool,
+            root,
+        );
+        bits_digest(h.iter().map(|(_, _, g)| g))
+    });
+    section("floor and wall bounce", &mut |reg, root| {
+        let pool = Pool::new(Jobs::serial()).with_telemetry(reg);
+        let floor = floor_bounce_gain_pooled(
+            &grid.pose(1),
+            &grid.pose(2),
+            m,
+            &optics,
+            &room,
+            &cfg,
+            &pool,
+            root,
+        );
+        let wall = wall_bounce_gain_pooled(
+            &grid.pose(7),
+            &floor_rx,
+            m,
+            &optics,
+            &room,
+            &cfg,
+            &pool,
+            root,
+        );
+        bits_digest([floor, wall])
+    });
+    section("nlos cache", &mut |reg, root| {
+        let pool = Pool::new(Jobs::serial()).with_telemetry(reg);
+        let cache = NlosTxCache::new_pooled(&grid.pose(1), m, &room, &cfg, &pool, root);
+        let floor = cache.floor_gain_pooled(&grid.pose(2), &optics, &pool, root);
+        let wall = cache.wall_gain_pooled(&floor_rx, &optics, &pool, root);
+        bits_digest([floor, wall])
+    });
+    section("channel update", &mut |reg, root| {
+        let pool = Pool::new(Jobs::serial()).with_telemetry(reg);
+        let mut updater = ChannelUpdater::new(&grid, hpsa, &optics, 0.0);
+        let u = updater.update_pooled(&rxs, &blockers, &pool, reg, root);
+        bits_digest(u.matrix.iter().map(|(_, _, g)| g))
+    });
+    section("sync link", &mut |reg, root| {
+        let cache = NlosTxCache::new(&grid.pose(1), m, &room, &NlosConfig::default());
+        let direct =
+            NlosSyncLink::between_traced(&grid.pose(1), &grid.pose(2), &room, hpsa, &optics, root);
+        let cached = NlosSyncLink::between_cached_traced(&cache, &grid.pose(2), &optics, root);
+        let mut rng = StdRng::seed_from_u64(11);
+        let snrs: Vec<f64> = (0..3)
+            .map(|_| direct.detect_traced(&mut rng, reg, root).snr)
+            .collect();
+        bits_digest(
+            [direct.bounce_gain, cached.bounce_gain]
+                .into_iter()
+                .chain(snrs),
+        )
+    });
+    section("e2e", &mut |reg, _| {
+        let txs = [
+            E2eTx {
+                gain: 2.0e-6,
+                host: 0,
+            },
+            E2eTx {
+                gain: 1.5e-6,
+                host: 1,
+            },
+        ];
+        let r = e2e::run_instrumented(
+            &txs,
+            &SyncScheme::nlos_paper(),
+            &E2eConfig::default(),
+            3,
+            7,
+            reg,
+        );
+        format!("{r:?}")
+    });
+    section("tab04", &mut |reg, root| {
+        format!("{:?}", tab04_sync_error::run_traced(3, 41, reg, root))
+    });
+    section("tab05", &mut |reg, _| {
+        let t = tab05_iperf::run_instrumented(2, 51, reg);
+        format!("{:?}", [t.two_tx, t.four_tx_no_sync, t.four_tx_nlos])
+    });
+    section("exhaustive", &mut |_, _| {
+        let small = TxGrid::centered(&Room::paper_simulation(), 3, 3, 1.0);
+        let h = ChannelMatrix::compute(
+            &small,
+            &[Pose::face_up(0.6, 0.6, 0.8), Pose::face_up(2.4, 2.4, 0.8)],
+            hpsa,
+            &optics,
+        );
+        let r = exhaustive_binary_jobs(&SystemModel::paper(h), 0.3, 1 << 21, Jobs::serial());
+        format!("evaluated={} {}", r.evaluated, bits_digest([r.system_bps]))
+    });
+
+    assert_eq!(got, ENTRY_POINT_FINGERPRINT, "\n{got}");
+}
+
+const ENTRY_POINT_FINGERPRINT: &str = "\
+== los sounding f5bfcd94575c9c12
+counter par.items = 36
+counter par.map_calls = 1
+counter par.pool.created = 1
+counter par.worker0.items = 36
+histogram par.worker.busy_s n=1
+span pin x1
+span pin/channel.sound x1
+span pin/channel.sound/channel.sound.row x36
+== floor and wall bounce 11592b7f276cfd8d
+counter par.items = 150
+counter par.map_calls = 2
+counter par.pool.created = 1
+counter par.worker0.items = 150
+histogram par.worker.busy_s n=2
+span pin x1
+span pin/channel.nlos.floor x1
+span pin/channel.nlos.floor/channel.nlos.floor.row x30
+span pin/channel.nlos.wall x1
+span pin/channel.nlos.wall/channel.nlos.wall.col x120
+== nlos cache 113abc994f5ac633
+counter par.items = 300
+counter par.map_calls = 4
+counter par.pool.created = 1
+counter par.worker0.items = 300
+histogram par.worker.busy_s n=4
+span pin x1
+span pin/channel.nlos.cache_build x1
+span pin/channel.nlos.cache_build/channel.nlos.cache_build.col x120
+span pin/channel.nlos.cache_build/channel.nlos.cache_build.row x30
+span pin/channel.nlos.floor.cached x1
+span pin/channel.nlos.floor.cached/channel.nlos.floor.cached.row x30
+span pin/channel.nlos.wall.cached x1
+span pin/channel.nlos.wall.cached/channel.nlos.wall.cached.col x120
+== channel update d8a220388958a073
+counter channel.cache.hit = 0
+counter channel.cache.miss = 3
+counter channel.cache.partial = 0
+counter channel.cache.updates = 1
+counter channel.fov.culled = 0
+counter channel.fov.live = 108
+counter par.items = 3
+counter par.map_calls = 1
+counter par.pool.created = 1
+counter par.worker0.items = 3
+histogram par.worker.busy_s n=1
+span pin x1
+span pin/channel.update x1
+span pin/channel.update/channel.update.col x3
+== sync link 471e0e7f3ec6d76b
+gauge sync.pilot_snr = 2.7434704822028824e0
+counter sync.pilot_detections = 3
+span pin x1
+span pin/sync.link_build x1
+span pin/sync.link_build/channel.nlos.floor x1
+span pin/sync.link_build/channel.nlos.floor/channel.nlos.floor.row x60
+span pin/sync.link_build_cached x1
+span pin/sync.link_build_cached/channel.nlos.floor.cached x1
+span pin/sync.link_build_cached/channel.nlos.floor.cached/channel.nlos.floor.cached.row x60
+span pin/sync.pilot_detect x3
+== e2e E2eResult { frames_total: 3, frames_ok: 3, per: 0.0, goodput_bps: 33698.39932603201, rs_corrections: 0 }
+counter phy.frames_decoded = 3
+counter phy.frames_encoded = 3
+counter phy.rs_symbols_corrected = 0
+histogram phy.ber n=3
+histogram phy.packed.decode_s n=3
+histogram phy.packed.encode_s n=3
+histogram phy.rs.block_s n=3
+span pin x1
+== tab04 Tab04 { no_sync_s: 1.5366666666666626e-5, ntp_ptp_s: 4.28333333333332e-6, nlos_vlc_s: 6.166666666666546e-7 }
+gauge sync.drift_ppm = 6.498167512374877e-1
+gauge sync.offset_s = -1.2312448677983978e-2
+gauge sync.pilot_snr = 2.7434704822028824e0
+counter sync.pilot_detections = 3
+span pin x1
+span pin/sync.link_build x1
+span pin/sync.link_build/channel.nlos.floor x1
+span pin/sync.link_build/channel.nlos.floor/channel.nlos.floor.row x60
+span pin/sync.pilot_round x3
+span pin/sync.pilot_round/sync.pilot_detect x3
+== tab05 [E2eResult { frames_total: 2, frames_ok: 2, per: 0.0, goodput_bps: 33698.39932603201, rs_corrections: 0 }, E2eResult { frames_total: 2, frames_ok: 0, per: 1.0, goodput_bps: 0.0, rs_corrections: 0 }, E2eResult { frames_total: 2, frames_ok: 2, per: 0.0, goodput_bps: 33698.39932603201, rs_corrections: 0 }]
+counter phy.frame_sync_errors = 2
+counter phy.frames_decoded = 4
+counter phy.frames_encoded = 6
+counter phy.rs_symbols_corrected = 0
+histogram phy.ber n=6
+histogram phy.packed.decode_s n=6
+histogram phy.packed.encode_s n=6
+histogram phy.rs.block_s n=4
+span pin x1
+== exhaustive evaluated=19683 41479949beb67a94
+span pin x1
+";
