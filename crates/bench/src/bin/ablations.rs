@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices `DESIGN.md` calls out:
+//! Ablation report for the design choices `DESIGN.md` calls out:
 //!
 //! * **Binary swings (Insight 2):** what throughput does discretizing the
 //!   continuous optimum to {0, Isw,max} cost?
@@ -7,10 +7,9 @@
 //! * **Partial-last budget usage:** the heuristic with and without a
 //!   fractional final TX.
 //!
-//! Criterion times the computations; the ablation *deltas* are printed once
-//! at bench start-up so the run log doubles as the ablation report.
+//! Prints one `[ablation]` line per comparison (EXPERIMENTS.md cites them).
+//! Run with `cargo run --release -p vlc-bench --bin ablations`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use vlc_alloc::analysis::{heuristic_sweep, throughput_at_power};
 use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::model::Allocation;
@@ -42,7 +41,7 @@ fn binarize(alloc: &Allocation, max_swing: f64) -> Allocation {
     out
 }
 
-fn print_ablation_report() {
+fn main() {
     let model = Deployment::simulation(&Scenario::Two.rx_positions()).model;
     let budget = 1.2;
 
@@ -94,30 +93,3 @@ fn print_ablation_report() {
         model.system_throughput(&partial) / 1e6
     );
 }
-
-fn bench_ablations(c: &mut Criterion) {
-    print_ablation_report();
-
-    let model = Deployment::simulation(&Scenario::Two.rx_positions()).model;
-    let mut group = c.benchmark_group("ablations");
-    group.sample_size(10);
-
-    group.bench_function("binarize_optimal_solution", |b| {
-        let report = OptimalSolver::quick().solve(&model, 1.2, None, &Ctx::noop());
-        b.iter(|| binarize(&report.allocation, model.led.max_swing))
-    });
-
-    group.bench_function("kappa_sweep_4_values", |b| {
-        b.iter(|| {
-            [1.0, 1.2, 1.3, 1.5]
-                .iter()
-                .map(|&k| heuristic_sweep(&model, &HeuristicConfig::with_kappa(k)).len())
-                .sum::<usize>()
-        })
-    });
-
-    group.finish();
-}
-
-criterion_group!(benches, bench_ablations);
-criterion_main!(benches);
