@@ -9,7 +9,7 @@
 
 use crate::model::{Allocation, SystemModel};
 use serde::{Deserialize, Serialize};
-use vlc_par::{Jobs, Pool, DEFAULT_CHUNK};
+use vlc_par::{Ctx, DEFAULT_CHUNK};
 
 /// The exhaustive-search result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -28,9 +28,16 @@ pub struct ExhaustiveResult {
 /// RX) within the power budget and returns the best by sum-log objective,
 /// falling back to system throughput while some receiver is still unserved.
 ///
-/// The candidate space partitions across `DENSEVLC_JOBS` workers
-/// (sequential when that resolves to 1); the result is bitwise identical
-/// for any worker count — see [`exhaustive_binary_jobs`].
+/// The candidate space partitions across `ctx`'s pool. Every assignment
+/// has an explicit index `i ∈ 0..(M+1)^N`, decoded as a mixed-radix code
+/// with TX 0 the least-significant digit — the same order the historic
+/// sequential counter visited. The winner is the lowest-index assignment
+/// among those maximal under the ranking predicate (finite objectives
+/// first, throughput among the unserved): candidates are scanned in index
+/// order within fixed-size chunks and the chunk bests merged in chunk
+/// order, with only a *strictly better* candidate displacing the
+/// incumbent. Ties therefore always break to the lowest assignment index,
+/// and the result is bitwise identical on one worker or many.
 ///
 /// # Panics
 /// Panics when the search space exceeds `max_assignments` (guard against
@@ -39,26 +46,7 @@ pub fn exhaustive_binary(
     model: &SystemModel,
     budget_w: f64,
     max_assignments: u64,
-) -> ExhaustiveResult {
-    exhaustive_binary_jobs(model, budget_w, max_assignments, Jobs::from_env())
-}
-
-/// [`exhaustive_binary`] with an explicit worker count.
-///
-/// Every assignment has an explicit index `i ∈ 0..(M+1)^N`, decoded as a
-/// mixed-radix code with TX 0 the least-significant digit — the same order
-/// the historic sequential counter visited. The winner is the
-/// lowest-index assignment among those maximal under the ranking
-/// predicate (finite objectives first, throughput among the unserved):
-/// candidates are scanned in index order within fixed-size chunks and the
-/// chunk bests merged in chunk order, with only a *strictly better*
-/// candidate displacing the incumbent. Ties therefore always break to the
-/// lowest assignment index, on one worker or many.
-pub fn exhaustive_binary_jobs(
-    model: &SystemModel,
-    budget_w: f64,
-    max_assignments: u64,
-    jobs: Jobs,
+    ctx: &Ctx,
 ) -> ExhaustiveResult {
     assert!(budget_w > 0.0, "budget must be positive");
     let n_tx = model.n_tx();
@@ -107,7 +95,7 @@ pub fn exhaustive_binary_jobs(
         }
     };
 
-    let best = Pool::new(jobs).argmax_by(space as usize, DEFAULT_CHUNK, score, better);
+    let best = ctx.on_pool(|pool| pool.argmax_by(space as usize, DEFAULT_CHUNK, score, better));
     let (_, (allocation, objective, system_bps)) =
         best.expect("the all-off assignment (index 0) is always within budget");
     ExhaustiveResult {
@@ -126,6 +114,7 @@ mod tests {
     use vlc_channel::{ChannelMatrix, RxOptics};
     use vlc_geom::{Pose, Room, TxGrid};
     use vlc_par::Ctx;
+    use vlc_par::{Jobs, Pool};
 
     /// A 3 × 3 grid with two receivers: 3⁹ ≈ 20k assignments.
     fn tiny_model() -> SystemModel {
@@ -144,7 +133,7 @@ mod tests {
     fn exhaustive_respects_the_budget() {
         let m = tiny_model();
         let budget = 0.2;
-        let res = exhaustive_binary(&m, budget, 1 << 20);
+        let res = exhaustive_binary(&m, budget, 1 << 20, &Ctx::noop());
         assert!(m.is_feasible(&res.allocation, budget));
         assert_eq!(res.evaluated, 3u64.pow(9));
     }
@@ -155,7 +144,7 @@ mod tests {
         // best binary point (up to solver tolerance).
         let m = tiny_model();
         let budget = 0.3;
-        let truth = exhaustive_binary(&m, budget, 1 << 21);
+        let truth = exhaustive_binary(&m, budget, 1 << 21, &Ctx::noop());
         let report = OptimalSolver::default().solve(&m, budget, None, &Ctx::noop());
         assert!(
             report.objective >= truth.objective - 0.02 * truth.objective.abs(),
@@ -169,7 +158,7 @@ mod tests {
     fn heuristic_lands_near_the_binary_ground_truth() {
         let m = tiny_model();
         let budget = 0.3;
-        let truth = exhaustive_binary(&m, budget, 1 << 21);
+        let truth = exhaustive_binary(&m, budget, 1 << 21, &Ctx::noop());
         let h = heuristic_allocation(
             &m.channel,
             &m.led,
@@ -190,7 +179,7 @@ mod tests {
     fn tiny_budget_returns_the_best_single_tx() {
         let m = tiny_model();
         let full_power = m.dyn_resistance() * (m.led.max_swing / 2.0_f64).powi(2);
-        let res = exhaustive_binary(&m, full_power * 1.01, 1 << 21);
+        let res = exhaustive_binary(&m, full_power * 1.01, 1 << 21, &Ctx::noop());
         assert_eq!(res.allocation.active_tx_count(), 1);
         assert!(res.system_bps > 0.0);
     }
@@ -199,7 +188,7 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn oversized_search_space_panics() {
         let m = tiny_model();
-        exhaustive_binary(&m, 0.3, 100);
+        exhaustive_binary(&m, 0.3, 100, &Ctx::noop());
     }
 
     #[test]
@@ -212,7 +201,12 @@ mod tests {
         let m = SystemModel::paper(ChannelMatrix::from_gains(2, 1, vec![1e-6, 1e-6]));
         let full_power = m.dyn_resistance() * (m.led.max_swing / 2.0_f64).powi(2);
         for jobs in [1usize, 2, 7] {
-            let res = exhaustive_binary_jobs(&m, full_power * 1.5, 1 << 10, Jobs::of(jobs));
+            let res = exhaustive_binary(
+                &m,
+                full_power * 1.5,
+                1 << 10,
+                &Ctx::noop().with_pool(&Pool::new(Jobs::of(jobs))),
+            );
             assert_eq!(res.allocation.active_tx_count(), 1, "jobs={jobs}");
             assert!(
                 res.allocation.swing(0, 0) > 0.0,
@@ -225,9 +219,19 @@ mod tests {
     #[test]
     fn worker_count_never_changes_the_result() {
         let m = tiny_model();
-        let reference = exhaustive_binary_jobs(&m, 0.3, 1 << 21, Jobs::serial());
+        let reference = exhaustive_binary(
+            &m,
+            0.3,
+            1 << 21,
+            &Ctx::noop().with_pool(&Pool::sequential()),
+        );
         for jobs in [2usize, 7] {
-            let res = exhaustive_binary_jobs(&m, 0.3, 1 << 21, Jobs::of(jobs));
+            let res = exhaustive_binary(
+                &m,
+                0.3,
+                1 << 21,
+                &Ctx::noop().with_pool(&Pool::new(Jobs::of(jobs))),
+            );
             assert_eq!(res, reference, "jobs={jobs}");
         }
     }

@@ -27,7 +27,7 @@ use vlc_obs::{
     monitor, parse_stream, FileSink, MemorySink, ObsOptions, ObsRecord, ObsSink, TelemetryFormat,
     OBS_SCHEMA,
 };
-use vlc_par::{Jobs, Pool, JOBS_ENV};
+use vlc_par::{Ctx, Jobs, Pool, JOBS_ENV};
 use vlc_prof::{flamegraph_from_profile, to_folded, Profile};
 use vlc_telemetry::Registry;
 use vlc_testbed::Scenario;
@@ -114,9 +114,12 @@ fn job_set() -> (Vec<Job>, usize) {
         ),
         (
             "tab04_sync_error",
-            Box::new(|| tab04_sync_error::run(100, 4).report()),
+            Box::new(|| tab04_sync_error::run(100, 4, &Ctx::noop()).report()),
         ),
-        ("tab05_iperf", Box::new(|| tab05_iperf::run(50, 5).report())),
+        (
+            "tab05_iperf",
+            Box::new(|| tab05_iperf::run(50, 5, &Ctx::noop()).report()),
+        ),
         (
             "fig18_scenario1",
             Box::new(|| fig18_20_scenarios::run(Scenario::One).report()),

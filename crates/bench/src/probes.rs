@@ -44,16 +44,16 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
     let probe = tracer.root("bench.phase_probe");
     let quiet = Registry::noop();
     let dep = Deployment::scenario(Scenario::Two);
-    ChannelMatrix::compute_with_blockage_pooled(
+    let ctx = Ctx::new(&quiet, &probe);
+    ChannelMatrix::sound(
         &dep.grid,
         &dep.receivers,
         dep.half_power_semi_angle,
         &dep.optics,
         &[],
-        pool,
-        &probe,
+        None,
+        &ctx.with_pool(pool),
     );
-    let ctx = Ctx::new(&quiet, &probe);
     heuristic_allocation(
         &dep.model.channel,
         &LedParams::cree_xte_paper(),
@@ -64,18 +64,18 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
     OptimalSolver::quick().solve(&dep.model, 1.2, None, &ctx.with_pool(pool));
     System::scenario(Scenario::Two, 1.2).adapt(&ctx);
     Simulation::new(Deployment::scenario(Scenario::Two), 1.2, 0.25).run(0.6, &ctx, None);
-    let link = NlosSyncLink::between_traced(
+    let link = NlosSyncLink::between(
         &dep.grid.pose(1),
         &dep.grid.pose(2),
         &dep.room,
         dep.half_power_semi_angle,
         &dep.optics,
-        &probe,
+        &ctx,
     );
     let mut rng = StdRng::seed_from_u64(0xBE7C);
     for frame in 0..4 {
         let round = probe.child_indexed("sync.pilot_round", frame);
-        link.detect_traced(&mut rng, &quiet, &round);
+        link.detect(&mut rng, &Ctx::new(&quiet, &round));
     }
 
     // Incremental-engine probes under their own root: they add *new* span
@@ -85,16 +85,16 @@ pub fn phase_probe(tracer: &Tracer, pool: &Pool) {
     drop(probe);
     let probe = tracer.root("bench.incremental_probe");
     let m = lambertian_order(dep.half_power_semi_angle);
-    let cache = NlosTxCache::new_pooled(
+    let ctx = Ctx::new(&quiet, &probe).with_pool(pool);
+    let cache = NlosTxCache::new(
         &dep.grid.pose(1),
         m,
         &dep.room,
         &NlosConfig::default(),
-        pool,
-        &probe,
+        &ctx,
     );
     for follower in [2usize, 7, 8] {
-        cache.floor_gain_pooled(&dep.grid.pose(follower), &dep.optics, pool, &probe);
+        cache.floor_gain(&dep.grid.pose(follower), &dep.optics, &ctx);
     }
     let mut warm = WarmOptimal::new();
     let solver = OptimalSolver::quick();
@@ -126,15 +126,14 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     };
     let matrix = {
         let _span = probe.child("sparse.channel.masked.paper");
-        ChannelMatrix::compute_masked_pooled(
+        ChannelMatrix::sound(
             &dep.grid,
             &dep.receivers,
             dep.half_power_semi_angle,
             &dep.optics,
             &[],
             Some(&mask),
-            pool,
-            &Span::noop(),
+            &Ctx::noop().with_pool(pool),
         )
     };
     {
@@ -180,27 +179,26 @@ pub fn sparse_probe(tracer: &Tracer, pool: &Pool) {
     let hpsa = dep.half_power_semi_angle;
     let dense_matrix = {
         let _span = probe.child("sparse.channel.dense.building");
-        ChannelMatrix::compute_with_blockage_pooled(
+        ChannelMatrix::sound(
             &grid,
             &receivers,
             hpsa,
             &optics,
             &[],
-            pool,
-            &Span::noop(),
+            None,
+            &Ctx::noop().with_pool(pool),
         )
     };
     let masked_matrix = {
         let _span = probe.child("sparse.channel.masked.building");
-        ChannelMatrix::compute_masked_pooled(
+        ChannelMatrix::sound(
             &grid,
             &receivers,
             hpsa,
             &optics,
             &[],
             Some(&mask),
-            pool,
-            &Span::noop(),
+            &Ctx::noop().with_pool(pool),
         )
     };
     assert_eq!(masked_matrix, dense_matrix, "conservative culling identity");

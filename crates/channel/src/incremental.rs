@@ -24,11 +24,11 @@ use crate::fov::{COUNTER_FOV_CULLED, COUNTER_FOV_LIVE};
 use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics};
 use crate::matrix::ChannelMatrix;
 use vlc_geom::{Pose, TxGrid};
-use vlc_par::{Jobs, Pool};
+use vlc_par::Pool;
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
 
-/// What one [`ChannelUpdater::update`] call produced.
+/// What one [`ChannelUpdater::update_pooled`] call produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelUpdate {
     /// The channel with blockage applied — what the controller plans on.
@@ -51,7 +51,8 @@ pub struct ChannelUpdate {
 /// Per-column state for the incremental channel engine.
 ///
 /// One updater tracks one deployment's TX grid and optics; feed it the
-/// receiver poses and blockers of each tick via [`ChannelUpdater::update`]
+/// receiver poses and blockers of each tick via
+/// [`ChannelUpdater::update_pooled`]
 /// and it returns the full matrices while recomputing only what changed.
 #[derive(Debug, Clone)]
 pub struct ChannelUpdater {
@@ -75,7 +76,7 @@ pub struct ChannelUpdater {
 }
 
 impl ChannelUpdater {
-    /// Creates an unprimed updater: the first [`Self::update`] recomputes
+    /// Creates an unprimed updater: the first [`Self::update_pooled`] recomputes
     /// every column (all misses).
     ///
     /// `epsilon_m` is the movement tolerance: a receiver whose position
@@ -111,18 +112,7 @@ impl ChannelUpdater {
     }
 
     /// Advances the world one tick and returns the updated matrices,
-    /// fanning dirty columns out over `DENSEVLC_JOBS` workers.
-    pub fn update(&mut self, receivers: &[Pose], blockers: &[CylinderBlocker]) -> ChannelUpdate {
-        self.update_pooled(
-            receivers,
-            blockers,
-            &Pool::new(Jobs::from_env()),
-            &Registry::noop(),
-            &Span::noop(),
-        )
-    }
-
-    /// [`Self::update`] on a caller-supplied pool, recording a
+    /// fanning dirty columns out over `pool` and recording a
     /// `channel.update` span under `parent` with one `channel.update.col`
     /// child per *recomputed* column (indexed by RX, so the span tree
     /// depends only on what changed, never on the worker count), and
@@ -323,6 +313,16 @@ mod tests {
         (grid, rxs, RxOptics::paper())
     }
 
+    fn tick(up: &mut ChannelUpdater, rxs: &[Pose], blockers: &[CylinderBlocker]) -> ChannelUpdate {
+        up.update_pooled(
+            rxs,
+            blockers,
+            &Pool::sequential(),
+            &Registry::noop(),
+            &Span::noop(),
+        )
+    }
+
     fn full(grid: &TxGrid, rxs: &[Pose], blockers: &[CylinderBlocker]) -> ChannelMatrix {
         ChannelMatrix::compute_with_blockage(
             grid,
@@ -337,7 +337,7 @@ mod tests {
     fn first_update_is_all_misses_and_matches_full_build() {
         let (grid, rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        let u = up.update(&rxs, &[]);
+        let u = tick(&mut up, &rxs, &[]);
         assert_eq!((u.hits, u.partials, u.misses), (0, 0, 4));
         assert_eq!(u.matrix, full(&grid, &rxs, &[]));
         assert_eq!(u.clear, u.matrix);
@@ -348,8 +348,8 @@ mod tests {
     fn static_world_is_all_hits_and_identical() {
         let (grid, rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        let first = up.update(&rxs, &[]);
-        let second = up.update(&rxs, &[]);
+        let first = tick(&mut up, &rxs, &[]);
+        let second = tick(&mut up, &rxs, &[]);
         assert_eq!((second.hits, second.partials, second.misses), (4, 0, 0));
         assert_eq!(second.matrix, first.matrix);
     }
@@ -358,9 +358,9 @@ mod tests {
     fn moving_one_receiver_recomputes_one_column() {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        up.update(&rxs, &[]);
+        tick(&mut up, &rxs, &[]);
         rxs[2] = Pose::face_up(1.0, 1.5, 0.8);
-        let u = up.update(&rxs, &[]);
+        let u = tick(&mut up, &rxs, &[]);
         assert_eq!((u.hits, u.partials, u.misses), (3, 0, 1));
         assert_eq!(u.matrix, full(&grid, &rxs, &[]));
     }
@@ -369,9 +369,9 @@ mod tests {
     fn blocker_change_retests_masks_without_recomputing_gains() {
         let (grid, rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        up.update(&rxs, &[]);
+        tick(&mut up, &rxs, &[]);
         let blockers = [CylinderBlocker::person(0.92, 0.92)];
-        let u = up.update(&rxs, &blockers);
+        let u = tick(&mut up, &rxs, &blockers);
         assert_eq!((u.hits, u.partials, u.misses), (0, 4, 0));
         assert_eq!(u.matrix, full(&grid, &rxs, &blockers));
         assert!(u.blocked_links > 0);
@@ -385,10 +385,10 @@ mod tests {
         // counted against its new clear gains, not a stale stored channel.
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        up.update(&rxs, &[]);
+        tick(&mut up, &rxs, &[]);
         rxs[0] = Pose::face_up(1.2, 1.2, 0.8);
         let blockers = [CylinderBlocker::person(1.2, 1.2)];
-        let u = up.update(&rxs, &blockers);
+        let u = tick(&mut up, &rxs, &blockers);
         let clear = full(&grid, &rxs, &[]);
         let masked = full(&grid, &rxs, &blockers);
         let expected = clear
@@ -403,13 +403,13 @@ mod tests {
     fn epsilon_tolerates_sub_threshold_motion() {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.05);
-        let first = up.update(&rxs, &[]);
+        let first = tick(&mut up, &rxs, &[]);
         rxs[1].position.x += 0.01; // 1 cm — under the 5 cm threshold
-        let u = up.update(&rxs, &[]);
+        let u = tick(&mut up, &rxs, &[]);
         assert_eq!((u.hits, u.partials, u.misses), (4, 0, 0));
         assert_eq!(u.matrix, first.matrix, "cached column retained under ε");
         rxs[1].position.x += 0.2; // now well past it
-        let u = up.update(&rxs, &[]);
+        let u = tick(&mut up, &rxs, &[]);
         assert_eq!(u.misses, 1);
         assert_eq!(u.matrix, full(&grid, &rxs, &[]));
     }
@@ -418,9 +418,9 @@ mod tests {
     fn receiver_count_change_reprimes() {
         let (grid, mut rxs, optics) = setup();
         let mut up = ChannelUpdater::new(&grid, 15f64.to_radians(), &optics, 0.0);
-        up.update(&rxs, &[]);
+        tick(&mut up, &rxs, &[]);
         rxs.pop();
-        let u = up.update(&rxs, &[]);
+        let u = tick(&mut up, &rxs, &[]);
         assert_eq!(u.misses, 3);
         assert_eq!(u.matrix, full(&grid, &rxs, &[]));
     }

@@ -6,8 +6,7 @@ use crate::lambertian::{lambertian_order, los_gain_profiled, RxOptics, RxProfile
 use crate::soa::LANE;
 use serde::{Deserialize, Serialize};
 use vlc_geom::{Pose, TxGrid};
-use vlc_par::{Jobs, Pool};
-use vlc_trace::Span;
+use vlc_par::Ctx;
 
 /// Line-of-sight path gains `H[tx][rx]` for every TX/RX pair.
 ///
@@ -39,25 +38,22 @@ impl ChannelMatrix {
     /// Computes the LOS matrix for a TX grid and receiver poses, fanning
     /// the TX rows out over `DENSEVLC_JOBS` workers (sequential when that
     /// resolves to 1). The result is bitwise identical for any worker
-    /// count — see [`Self::compute_par`].
+    /// count — see [`Self::sound`].
     pub fn compute(
         grid: &TxGrid,
         receivers: &[Pose],
         half_power_semi_angle: f64,
         optics: &RxOptics,
     ) -> Self {
-        Self::compute_with_blockage(grid, receivers, half_power_semi_angle, optics, &[])
-    }
-
-    /// [`Self::compute`] with an explicit worker count.
-    pub fn compute_par(
-        grid: &TxGrid,
-        receivers: &[Pose],
-        half_power_semi_angle: f64,
-        optics: &RxOptics,
-        jobs: Jobs,
-    ) -> Self {
-        Self::compute_with_blockage_par(grid, receivers, half_power_semi_angle, optics, &[], jobs)
+        Self::sound(
+            grid,
+            receivers,
+            half_power_semi_angle,
+            optics,
+            &[],
+            None,
+            &Ctx::noop(),
+        )
     }
 
     /// Computes the LOS matrix with cylindrical occluders: a blocked pair
@@ -69,105 +65,35 @@ impl ChannelMatrix {
         optics: &RxOptics,
         blockers: &[CylinderBlocker],
     ) -> Self {
-        Self::compute_with_blockage_par(
-            grid,
-            receivers,
-            half_power_semi_angle,
-            optics,
-            blockers,
-            Jobs::from_env(),
-        )
-    }
-
-    /// [`Self::compute_with_blockage`] with an explicit worker count: each
-    /// TX row of `H` is an independent work item, and rows are reassembled
-    /// in TX order, so the matrix is bitwise identical to the sequential
-    /// one for any `jobs`.
-    pub fn compute_with_blockage_par(
-        grid: &TxGrid,
-        receivers: &[Pose],
-        half_power_semi_angle: f64,
-        optics: &RxOptics,
-        blockers: &[CylinderBlocker],
-        jobs: Jobs,
-    ) -> Self {
-        Self::compute_with_blockage_traced(
-            grid,
-            receivers,
-            half_power_semi_angle,
-            optics,
-            blockers,
-            jobs,
-            &Span::noop(),
-        )
-    }
-
-    /// [`Self::compute_with_blockage_par`] recording a `channel.sound`
-    /// span under `parent`, with one `channel.sound.row` child per TX row
-    /// (indexed by TX, so the span tree is identical for any worker
-    /// count). With a noop parent this is the uninstrumented path plus one
-    /// branch per span site.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_with_blockage_traced(
-        grid: &TxGrid,
-        receivers: &[Pose],
-        half_power_semi_angle: f64,
-        optics: &RxOptics,
-        blockers: &[CylinderBlocker],
-        jobs: Jobs,
-        parent: &Span,
-    ) -> Self {
-        Self::compute_with_blockage_pooled(
-            grid,
-            receivers,
-            half_power_semi_angle,
-            optics,
-            blockers,
-            &Pool::new(jobs),
-            parent,
-        )
-    }
-
-    /// [`Self::compute_with_blockage_traced`] on a caller-supplied [`Pool`],
-    /// so one pool can serve many matrix builds (and the NLOS quadratures)
-    /// instead of being rebuilt per call.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_with_blockage_pooled(
-        grid: &TxGrid,
-        receivers: &[Pose],
-        half_power_semi_angle: f64,
-        optics: &RxOptics,
-        blockers: &[CylinderBlocker],
-        pool: &Pool,
-        parent: &Span,
-    ) -> Self {
-        Self::compute_masked_pooled(
+        Self::sound(
             grid,
             receivers,
             half_power_semi_angle,
             optics,
             blockers,
             None,
-            pool,
-            parent,
+            &Ctx::noop(),
         )
     }
 
-    /// [`Self::compute_with_blockage_pooled`] with an optional precomputed
-    /// [`FovMask`]: culled links get an exact zero without evaluating the
-    /// Lambertian kernel or the blockage test. Because the mask is
-    /// conservative — it only culls links whose LOS gain is exactly zero —
-    /// the result is bitwise identical to the unmasked computation.
-    #[allow(clippy::too_many_arguments)]
-    pub fn compute_masked_pooled(
+    /// Sounds the LOS matrix with cylindrical occluders and an optional
+    /// precomputed [`FovMask`] on `ctx`'s pool, recording a `channel.sound`
+    /// span under `ctx.span` with one `channel.sound.row` child per TX row.
+    ///
+    /// Each TX row of `H` is an independent work item, and rows are
+    /// reassembled in TX order (the span children are indexed by TX), so
+    /// matrix and span tree are identical for any worker count. Masked-out
+    /// links get an exact zero without evaluating the Lambertian kernel or
+    /// the blockage test; because the mask only culls links whose LOS gain
+    /// is exactly zero, the result is bitwise identical to `mask: None`.
+    pub fn sound(
         grid: &TxGrid,
         receivers: &[Pose],
         half_power_semi_angle: f64,
         optics: &RxOptics,
         blockers: &[CylinderBlocker],
         mask: Option<&FovMask>,
-        pool: &Pool,
-        parent: &Span,
+        ctx: &Ctx,
     ) -> Self {
         let m = lambertian_order(half_power_semi_angle);
         let n_tx = grid.len();
@@ -177,15 +103,17 @@ impl ChannelMatrix {
             assert_eq!(mask.n_rx(), n_rx, "mask/receiver count mismatch");
         }
         let profile = optics.profile();
-        let sound = parent.child("channel.sound");
+        let sound = ctx.span.child("channel.sound");
         sound.attr("n_tx", &n_tx.to_string());
         sound.attr("n_rx", &n_rx.to_string());
-        let rows = pool.map_indexed(n_tx, |t| {
-            let _row = sound.child_indexed("channel.sound.row", t);
-            let tx = grid.pose(t);
-            let mut out = vec![0.0f64; n_rx];
-            los_row_into(&tx, t, receivers, blockers, mask, m, &profile, &mut out);
-            out
+        let rows = ctx.on_pool(|pool| {
+            pool.map_indexed(n_tx, |t| {
+                let _row = sound.child_indexed("channel.sound.row", t);
+                let tx = grid.pose(t);
+                let mut out = vec![0.0f64; n_rx];
+                los_row_into(&tx, t, receivers, blockers, mask, m, &profile, &mut out);
+                out
+            })
         });
         let mut gains = Vec::with_capacity(n_tx * n_rx);
         for row in rows {
@@ -391,27 +319,9 @@ mod tests {
         let hpsa = 15f64.to_radians();
         let mask = FovMask::compute(&grid, &rxs, &optics.profile());
         assert!(mask.culled_count() > 0, "30° FOV should cull corner links");
-        let pool = Pool::new(Jobs::serial());
-        let dense = ChannelMatrix::compute_masked_pooled(
-            &grid,
-            &rxs,
-            hpsa,
-            &optics,
-            &blockers,
-            None,
-            &pool,
-            &Span::noop(),
-        );
-        let masked = ChannelMatrix::compute_masked_pooled(
-            &grid,
-            &rxs,
-            hpsa,
-            &optics,
-            &blockers,
-            Some(&mask),
-            &pool,
-            &Span::noop(),
-        );
+        let ctx = Ctx::noop();
+        let dense = ChannelMatrix::sound(&grid, &rxs, hpsa, &optics, &blockers, None, &ctx);
+        let masked = ChannelMatrix::sound(&grid, &rxs, hpsa, &optics, &blockers, Some(&mask), &ctx);
         for (t, r, g) in dense.iter() {
             assert_eq!(g.to_bits(), masked.gain(t, r).to_bits(), "({t},{r})");
         }

@@ -18,8 +18,7 @@ use crate::lambertian::{RxOptics, RxProfile};
 use crate::soa::LANE;
 use serde::{Deserialize, Serialize};
 use vlc_geom::{Pose, Room, Vec3};
-use vlc_par::{Jobs, Pool};
-use vlc_trace::Span;
+use vlc_par::Ctx;
 
 /// Configuration for the single-bounce integration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -47,6 +46,13 @@ impl Default for NlosConfig {
 /// where `d1, φ1, ψ1` describe the source→patch leg (ψ1 against the floor
 /// normal), `ρ` is the floor reflectance, and `d2, φ2, ψ2` the
 /// patch→receiver leg with the patch re-emitting as an order-1 Lambertian.
+///
+/// Runs on `ctx`'s pool and records a `channel.nlos.floor` span under
+/// `ctx.span`, with one `channel.nlos.floor.row` child per quadrature row.
+/// The quadrature is one partial sum per floor *row* (fixed `iy`), summed
+/// over rows in row order on every path, so fanning rows out over workers
+/// reassociates nothing: the integral and the (row-indexed) span tree are
+/// identical for any worker count.
 pub fn floor_bounce_gain(
     tx: &Pose,
     rx: &Pose,
@@ -54,68 +60,7 @@ pub fn floor_bounce_gain(
     optics: &RxOptics,
     room: &Room,
     cfg: &NlosConfig,
-) -> f64 {
-    floor_bounce_gain_par(tx, rx, lambertian_m, optics, room, cfg, Jobs::from_env())
-}
-
-/// [`floor_bounce_gain`] with an explicit worker count.
-///
-/// The quadrature is structured as one partial sum per floor *row* (fixed
-/// `iy`), summed over rows in row order — on the sequential path too — so
-/// fanning rows out over workers reassociates nothing and the integral is
-/// bitwise identical for any `jobs`.
-pub fn floor_bounce_gain_par(
-    tx: &Pose,
-    rx: &Pose,
-    lambertian_m: f64,
-    optics: &RxOptics,
-    room: &Room,
-    cfg: &NlosConfig,
-    jobs: Jobs,
-) -> f64 {
-    floor_bounce_gain_traced(tx, rx, lambertian_m, optics, room, cfg, jobs, &Span::noop())
-}
-
-/// [`floor_bounce_gain_par`] recording a `channel.nlos.floor` span under
-/// `parent`, with one `channel.nlos.floor.row` child per quadrature row
-/// (indexed by row, so the span tree is worker-count independent). With a
-/// noop parent this is the uninstrumented path plus one branch per span
-/// site.
-#[allow(clippy::too_many_arguments)]
-pub fn floor_bounce_gain_traced(
-    tx: &Pose,
-    rx: &Pose,
-    lambertian_m: f64,
-    optics: &RxOptics,
-    room: &Room,
-    cfg: &NlosConfig,
-    jobs: Jobs,
-    parent: &Span,
-) -> f64 {
-    floor_bounce_gain_pooled(
-        tx,
-        rx,
-        lambertian_m,
-        optics,
-        room,
-        cfg,
-        &Pool::new(jobs),
-        parent,
-    )
-}
-
-/// [`floor_bounce_gain_traced`] on a caller-supplied [`Pool`], so one pool
-/// can serve many gain evaluations instead of being rebuilt per call.
-#[allow(clippy::too_many_arguments)]
-pub fn floor_bounce_gain_pooled(
-    tx: &Pose,
-    rx: &Pose,
-    lambertian_m: f64,
-    optics: &RxOptics,
-    room: &Room,
-    cfg: &NlosConfig,
-    pool: &Pool,
-    parent: &Span,
+    ctx: &Ctx,
 ) -> f64 {
     assert!(cfg.patch_size_m > 0.0, "patch size must be positive");
     let da = cfg.patch_size_m * cfg.patch_size_m;
@@ -127,42 +72,44 @@ pub fn floor_bounce_gain_pooled(
     let xs: Vec<f64> = (0..nx)
         .map(|ix| (ix as f64 + 0.5) * cfg.patch_size_m)
         .collect();
-    let floor = parent.child("channel.nlos.floor");
+    let floor = ctx.span.child("channel.nlos.floor");
     floor.attr("rows", &ny.to_string());
-    let row_sums = pool.map_indexed(ny, |iy| {
-        let _row = floor.child_indexed("channel.nlos.floor.row", iy);
-        let wy = (iy as f64 + 0.5) * cfg.patch_size_m;
-        let mut row = 0.0;
-        let tail = nx - nx % LANE;
-        for base in (0..tail).step_by(LANE) {
-            let lane = floor_row_lane(
-                tx,
-                rx,
-                &xs[base..base + LANE],
-                wy,
-                lambertian_m,
-                &profile,
-                room.floor_reflectance,
-            );
-            // Lane results fold into the row strictly in patch order: the
-            // batch reorders computation, never the fixed-order sum.
-            for &c in &lane {
-                row += c;
+    let row_sums = ctx.on_pool(|pool| {
+        pool.map_indexed(ny, |iy| {
+            let _row = floor.child_indexed("channel.nlos.floor.row", iy);
+            let wy = (iy as f64 + 0.5) * cfg.patch_size_m;
+            let mut row = 0.0;
+            let tail = nx - nx % LANE;
+            for base in (0..tail).step_by(LANE) {
+                let lane = floor_row_lane(
+                    tx,
+                    rx,
+                    &xs[base..base + LANE],
+                    wy,
+                    lambertian_m,
+                    &profile,
+                    room.floor_reflectance,
+                );
+                // Lane results fold into the row strictly in patch order: the
+                // batch reorders computation, never the fixed-order sum.
+                for &c in &lane {
+                    row += c;
+                }
             }
-        }
-        for &x in &xs[tail..] {
-            let w = Vec3::new(x, wy, 0.0);
-            row += patch_contribution_fused(
-                tx,
-                rx,
-                w,
-                Vec3::UP,
-                lambertian_m,
-                &profile,
-                room.floor_reflectance,
-            );
-        }
-        row
+            for &x in &xs[tail..] {
+                let w = Vec3::new(x, wy, 0.0);
+                row += patch_contribution_fused(
+                    tx,
+                    rx,
+                    w,
+                    Vec3::UP,
+                    lambertian_m,
+                    &profile,
+                    room.floor_reflectance,
+                );
+            }
+            row
+        })
     });
     row_sums.iter().sum::<f64>() * da
 }
@@ -203,6 +150,13 @@ pub fn floor_bounce_gain_scalar(
 /// first-order NLOS contribution to the *data* channel. The tests quantify
 /// it at well under a percent of the LOS gain for the paper's narrow-beam
 /// geometry — the validation behind Eq. 12's LOS-only SINR.
+///
+/// Runs on `ctx`'s pool and records a `channel.nlos.wall` span under
+/// `ctx.span`, with one `channel.nlos.wall.col` child per wall column. Work
+/// items are the vertical wall *columns* (one per `(wall, iu)`), each
+/// summed bottom-up; column partials are added in column order on every
+/// path, so the result is bitwise identical for any worker count (see
+/// [`floor_bounce_gain`]).
 pub fn wall_bounce_gain(
     tx: &Pose,
     rx: &Pose,
@@ -210,64 +164,7 @@ pub fn wall_bounce_gain(
     optics: &RxOptics,
     room: &Room,
     cfg: &NlosConfig,
-) -> f64 {
-    wall_bounce_gain_par(tx, rx, lambertian_m, optics, room, cfg, Jobs::from_env())
-}
-
-/// [`wall_bounce_gain`] with an explicit worker count. Work items are the
-/// vertical wall *columns* (one per `(wall, iu)`), each summed bottom-up;
-/// column partials are added in column order on every path, so the result
-/// is bitwise identical for any `jobs` (see [`floor_bounce_gain_par`]).
-pub fn wall_bounce_gain_par(
-    tx: &Pose,
-    rx: &Pose,
-    lambertian_m: f64,
-    optics: &RxOptics,
-    room: &Room,
-    cfg: &NlosConfig,
-    jobs: Jobs,
-) -> f64 {
-    wall_bounce_gain_traced(tx, rx, lambertian_m, optics, room, cfg, jobs, &Span::noop())
-}
-
-/// [`wall_bounce_gain_par`] recording a `channel.nlos.wall` span under
-/// `parent`, with one `channel.nlos.wall.col` child per wall column
-/// (indexed by column, so the span tree is worker-count independent).
-#[allow(clippy::too_many_arguments)]
-pub fn wall_bounce_gain_traced(
-    tx: &Pose,
-    rx: &Pose,
-    lambertian_m: f64,
-    optics: &RxOptics,
-    room: &Room,
-    cfg: &NlosConfig,
-    jobs: Jobs,
-    parent: &Span,
-) -> f64 {
-    wall_bounce_gain_pooled(
-        tx,
-        rx,
-        lambertian_m,
-        optics,
-        room,
-        cfg,
-        &Pool::new(jobs),
-        parent,
-    )
-}
-
-/// [`wall_bounce_gain_traced`] on a caller-supplied [`Pool`], so one pool
-/// can serve many gain evaluations instead of being rebuilt per call.
-#[allow(clippy::too_many_arguments)]
-pub fn wall_bounce_gain_pooled(
-    tx: &Pose,
-    rx: &Pose,
-    lambertian_m: f64,
-    optics: &RxOptics,
-    room: &Room,
-    cfg: &NlosConfig,
-    pool: &Pool,
-    parent: &Span,
+    ctx: &Ctx,
 ) -> f64 {
     assert!(cfg.patch_size_m > 0.0, "patch size must be positive");
     let da = cfg.patch_size_m * cfg.patch_size_m;
@@ -277,22 +174,39 @@ pub fn wall_bounce_gain_pooled(
     let zs: Vec<f64> = (0..nz)
         .map(|iz| (iz as f64 + 0.5) * cfg.patch_size_m)
         .collect();
-    let wall = parent.child("channel.nlos.wall");
+    let wall = ctx.span.child("channel.nlos.wall");
     wall.attr("cols", &columns.len().to_string());
-    let column_sums = pool.map_indexed(columns.len(), |c| {
-        let _col = wall.child_indexed("channel.nlos.wall.col", c);
-        let (origin, axis, normal, iu) = columns[c];
-        // The reference `wall_patch_center` evaluates
-        // `(origin + axis·u) + Z·z` left-associated; hoisting the
-        // column-constant first addend changes nothing bitwise.
-        let base_w = origin + axis * ((iu as f64 + 0.5) * cfg.patch_size_m);
-        let mut col = 0.0;
-        let mut lane = [0.0f64; LANE];
-        let tail = nz - nz % LANE;
-        for base in (0..tail).step_by(LANE) {
-            for (l, slot) in lane.iter_mut().enumerate() {
-                let w = base_w + Vec3::Z * zs[base + l];
-                *slot = patch_contribution_fused(
+    let column_sums = ctx.on_pool(|pool| {
+        pool.map_indexed(columns.len(), |c| {
+            let _col = wall.child_indexed("channel.nlos.wall.col", c);
+            let (origin, axis, normal, iu) = columns[c];
+            // The reference `wall_patch_center` evaluates
+            // `(origin + axis·u) + Z·z` left-associated; hoisting the
+            // column-constant first addend changes nothing bitwise.
+            let base_w = origin + axis * ((iu as f64 + 0.5) * cfg.patch_size_m);
+            let mut col = 0.0;
+            let mut lane = [0.0f64; LANE];
+            let tail = nz - nz % LANE;
+            for base in (0..tail).step_by(LANE) {
+                for (l, slot) in lane.iter_mut().enumerate() {
+                    let w = base_w + Vec3::Z * zs[base + l];
+                    *slot = patch_contribution_fused(
+                        tx,
+                        rx,
+                        w,
+                        normal,
+                        lambertian_m,
+                        &profile,
+                        room.floor_reflectance,
+                    );
+                }
+                for &contribution in &lane {
+                    col += contribution;
+                }
+            }
+            for &z in &zs[tail..] {
+                let w = base_w + Vec3::Z * z;
+                col += patch_contribution_fused(
                     tx,
                     rx,
                     w,
@@ -302,23 +216,8 @@ pub fn wall_bounce_gain_pooled(
                     room.floor_reflectance,
                 );
             }
-            for &contribution in &lane {
-                col += contribution;
-            }
-        }
-        for &z in &zs[tail..] {
-            let w = base_w + Vec3::Z * z;
-            col += patch_contribution_fused(
-                tx,
-                rx,
-                w,
-                normal,
-                lambertian_m,
-                &profile,
-                room.floor_reflectance,
-            );
-        }
-        col
+            col
+        })
     });
     column_sums.iter().sum::<f64>() * da
 }
@@ -655,7 +554,15 @@ mod tests {
         let grid = TxGrid::paper(&room);
         let tx = grid.pose(1); // TX2
         let rx = grid.pose(2); // TX3, 0.5 m away, photodiode facing down
-        let h = floor_bounce_gain(&tx, &rx, m, &optics, &room, &NlosConfig::default());
+        let h = floor_bounce_gain(
+            &tx,
+            &rx,
+            m,
+            &optics,
+            &room,
+            &NlosConfig::default(),
+            &Ctx::noop(),
+        );
         assert!(h > 0.0, "h = {h}");
     }
 
@@ -668,7 +575,15 @@ mod tests {
         let tx = grid.pose(1);
         let neighbor = grid.pose(2);
         let floor_rx = Pose::face_up(neighbor.position.x, neighbor.position.y - 0.25, 0.0);
-        let h_nlos = floor_bounce_gain(&tx, &neighbor, m, &optics, &room, &NlosConfig::default());
+        let h_nlos = floor_bounce_gain(
+            &tx,
+            &neighbor,
+            m,
+            &optics,
+            &room,
+            &NlosConfig::default(),
+            &Ctx::noop(),
+        );
         let h_los = los_gain(&tx, &floor_rx, m, &optics);
         assert!(h_nlos < h_los / 10.0, "nlos {h_nlos} vs los {h_los}");
     }
@@ -679,8 +594,8 @@ mod tests {
         let grid = TxGrid::paper(&room);
         let tx = grid.pose(0); // TX1 (corner)
         let cfg = NlosConfig::default();
-        let near = floor_bounce_gain(&tx, &grid.pose(1), m, &optics, &room, &cfg);
-        let far = floor_bounce_gain(&tx, &grid.pose(5), m, &optics, &room, &cfg);
+        let near = floor_bounce_gain(&tx, &grid.pose(1), m, &optics, &room, &cfg, &Ctx::noop());
+        let far = floor_bounce_gain(&tx, &grid.pose(5), m, &optics, &room, &cfg, &Ctx::noop());
         assert!(near > far, "near {near} far {far}");
     }
 
@@ -693,8 +608,24 @@ mod tests {
             floor_reflectance: 0.3,
             ..room
         };
-        let h_bright = floor_bounce_gain(&grid.pose(1), &grid.pose(2), m, &optics, &room, &cfg);
-        let h_dark = floor_bounce_gain(&grid.pose(1), &grid.pose(2), m, &optics, &dark, &cfg);
+        let h_bright = floor_bounce_gain(
+            &grid.pose(1),
+            &grid.pose(2),
+            m,
+            &optics,
+            &room,
+            &cfg,
+            &Ctx::noop(),
+        );
+        let h_dark = floor_bounce_gain(
+            &grid.pose(1),
+            &grid.pose(2),
+            m,
+            &optics,
+            &dark,
+            &cfg,
+            &Ctx::noop(),
+        );
         assert!((h_bright / h_dark - 0.6 / 0.3).abs() < 1e-9);
     }
 
@@ -710,6 +641,7 @@ mod tests {
             &optics,
             &room,
             &NlosConfig { patch_size_m: 0.10 },
+            &Ctx::noop(),
         );
         let fine = floor_bounce_gain(
             &grid.pose(1),
@@ -718,6 +650,7 @@ mod tests {
             &optics,
             &room,
             &NlosConfig { patch_size_m: 0.05 },
+            &Ctx::noop(),
         );
         assert!(
             ((coarse - fine) / fine).abs() < 0.05,
@@ -742,6 +675,7 @@ mod tests {
             &optics,
             &dull,
             &NlosConfig::default(),
+            &Ctx::noop(),
         );
         assert!(h > 0.0);
     }
@@ -756,7 +690,15 @@ mod tests {
         let rx = Pose::face_up(0.92, 0.92, 0.0);
         let tx = grid.pose(7); // TX8, the serving TX
         let h_los = los_gain(&tx, &rx, m, &optics);
-        let h_wall = wall_bounce_gain(&tx, &rx, m, &optics, &room, &NlosConfig::default());
+        let h_wall = wall_bounce_gain(
+            &tx,
+            &rx,
+            m,
+            &optics,
+            &room,
+            &NlosConfig::default(),
+            &Ctx::noop(),
+        );
         assert!(h_wall >= 0.0);
         assert!(
             h_wall < 0.01 * h_los,
@@ -774,8 +716,8 @@ mod tests {
         let rx_near = Pose::face_up(0.75, 0.15, 0.0); // 15 cm from the wall
         let tx_mid = Pose::ceiling(1.75, 1.5, room.height);
         let rx_mid = Pose::face_up(1.75, 1.4, 0.0); // room center-ish
-        let near = wall_bounce_gain(&tx_near, &rx_near, m, &optics, &room, &cfg);
-        let mid = wall_bounce_gain(&tx_mid, &rx_mid, m, &optics, &room, &cfg);
+        let near = wall_bounce_gain(&tx_near, &rx_near, m, &optics, &room, &cfg, &Ctx::noop());
+        let mid = wall_bounce_gain(&tx_mid, &rx_mid, m, &optics, &room, &cfg, &Ctx::noop());
         assert!(near > mid, "near-wall {near:e} !> centered {mid:e}");
     }
 
@@ -787,7 +729,15 @@ mod tests {
         let (room, m, optics) = setup();
         let tx = Pose::ceiling(0.75, 0.75, room.height);
         let rx = Pose::face_up(1.25, 0.75, 0.0);
-        let h_floor = floor_bounce_gain(&tx, &rx, m, &optics, &room, &NlosConfig::default());
+        let h_floor = floor_bounce_gain(
+            &tx,
+            &rx,
+            m,
+            &optics,
+            &room,
+            &NlosConfig::default(),
+            &Ctx::noop(),
+        );
         assert_eq!(h_floor, 0.0);
     }
 
@@ -804,10 +754,10 @@ mod tests {
                 Pose::face_up(0.75, 0.15, 0.0),
             ),
         ] {
-            let floor_fast = floor_bounce_gain(&tx, &rx, m, &optics, &room, &cfg);
+            let floor_fast = floor_bounce_gain(&tx, &rx, m, &optics, &room, &cfg, &Ctx::noop());
             let floor_ref = floor_bounce_gain_scalar(&tx, &rx, m, &optics, &room, &cfg);
             assert_eq!(floor_fast.to_bits(), floor_ref.to_bits());
-            let wall_fast = wall_bounce_gain(&tx, &rx, m, &optics, &room, &cfg);
+            let wall_fast = wall_bounce_gain(&tx, &rx, m, &optics, &room, &cfg, &Ctx::noop());
             let wall_ref = wall_bounce_gain_scalar(&tx, &rx, m, &optics, &room, &cfg);
             assert_eq!(wall_fast.to_bits(), wall_ref.to_bits());
         }
@@ -825,6 +775,7 @@ mod tests {
             &optics,
             &room,
             &NlosConfig { patch_size_m: 0.0 },
+            &Ctx::noop(),
         );
     }
 }

@@ -23,16 +23,13 @@ use crate::nlos::{
     wall_patch_center, NlosConfig,
 };
 use crate::soa::LANE;
-use std::sync::Arc;
 use vlc_geom::{Pose, Room, Vec3};
-use vlc_par::{Jobs, Pool};
-use vlc_trace::Span;
+use vlc_par::Ctx;
 
 /// Precomputed source→patch irradiance tables for one transmitter.
 ///
 /// Build once per deployment (cheap: one tx-leg evaluation per patch),
-/// share behind an [`Arc`] via [`NlosTxCache::shared`], then evaluate
-/// per-receiver gains with [`NlosTxCache::floor_gain`] /
+/// then evaluate per-receiver gains with [`NlosTxCache::floor_gain`] /
 /// [`NlosTxCache::wall_gain`] at roughly half the direct cost.
 #[derive(Debug, Clone)]
 pub struct NlosTxCache {
@@ -65,65 +62,48 @@ pub struct NlosTxCache {
 }
 
 impl NlosTxCache {
-    /// Builds the tables for one TX, fanning the floor rows / wall columns
-    /// out over `DENSEVLC_JOBS` workers.
-    pub fn new(tx: &Pose, lambertian_m: f64, room: &Room, cfg: &NlosConfig) -> Self {
-        Self::new_pooled(
-            tx,
-            lambertian_m,
-            room,
-            cfg,
-            &Pool::new(Jobs::from_env()),
-            &Span::noop(),
-        )
-    }
-
-    /// [`Self::new`] on a caller-supplied pool, recording a
-    /// `channel.nlos.cache_build` span under `parent` with one
+    /// Builds the tables for one TX on `ctx`'s pool, recording a
+    /// `channel.nlos.cache_build` span under `ctx.span` with one
     /// `channel.nlos.cache_build.row` child per floor row and one
     /// `channel.nlos.cache_build.col` child per wall column (both indexed,
     /// so the span tree is worker-count independent).
-    pub fn new_pooled(
-        tx: &Pose,
-        lambertian_m: f64,
-        room: &Room,
-        cfg: &NlosConfig,
-        pool: &Pool,
-        parent: &Span,
-    ) -> Self {
+    pub fn new(tx: &Pose, lambertian_m: f64, room: &Room, cfg: &NlosConfig, ctx: &Ctx) -> Self {
         assert!(cfg.patch_size_m > 0.0, "patch size must be positive");
-        let build = parent.child("channel.nlos.cache_build");
+        let build = ctx.span.child("channel.nlos.cache_build");
         let (nx, ny) = floor_grid(room, cfg);
         build.attr("rows", &ny.to_string());
-        let floor_leg: Vec<f64> = pool
-            .map_indexed(ny, |iy| {
-                let _row = build.child_indexed("channel.nlos.cache_build.row", iy);
-                (0..nx)
-                    .map(|ix| {
-                        let w = floor_patch_center(cfg, ix, iy);
-                        patch_tx_leg(tx, w, Vec3::UP, lambertian_m, room.floor_reflectance)
-                    })
-                    .collect::<Vec<f64>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
         let (columns, nz) = wall_columns(room, cfg);
         build.attr("cols", &columns.len().to_string());
-        let wall_leg: Vec<f64> = pool
-            .map_indexed(columns.len(), |c| {
-                let _col = build.child_indexed("channel.nlos.cache_build.col", c);
-                let (origin, axis, normal, iu) = columns[c];
-                (0..nz)
-                    .map(|iz| {
-                        let w = wall_patch_center(cfg, origin, axis, iu, iz);
-                        patch_tx_leg(tx, w, normal, lambertian_m, room.floor_reflectance)
-                    })
-                    .collect::<Vec<f64>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+        let (floor_leg, wall_leg) = ctx.on_pool(|pool| {
+            let floor_leg: Vec<f64> = pool
+                .map_indexed(ny, |iy| {
+                    let _row = build.child_indexed("channel.nlos.cache_build.row", iy);
+                    (0..nx)
+                        .map(|ix| {
+                            let w = floor_patch_center(cfg, ix, iy);
+                            patch_tx_leg(tx, w, Vec3::UP, lambertian_m, room.floor_reflectance)
+                        })
+                        .collect::<Vec<f64>>()
+                })
+                .into_iter()
+                .flatten()
+                .collect();
+            let wall_leg: Vec<f64> = pool
+                .map_indexed(columns.len(), |c| {
+                    let _col = build.child_indexed("channel.nlos.cache_build.col", c);
+                    let (origin, axis, normal, iu) = columns[c];
+                    (0..nz)
+                        .map(|iz| {
+                            let w = wall_patch_center(cfg, origin, axis, iu, iz);
+                            patch_tx_leg(tx, w, normal, lambertian_m, room.floor_reflectance)
+                        })
+                        .collect::<Vec<f64>>()
+                })
+                .into_iter()
+                .flatten()
+                .collect();
+            (floor_leg, wall_leg)
+        });
         // Compact the dense legs into CSR live-patch lists: the out-of-
         // half-space patches (exact +0.0 legs) drop out of every future
         // receiver sweep.
@@ -178,12 +158,6 @@ impl NlosTxCache {
         }
     }
 
-    /// [`Self::new`] wrapped in an [`Arc`] for sharing across receivers,
-    /// links, and threads.
-    pub fn shared(tx: &Pose, lambertian_m: f64, room: &Room, cfg: &NlosConfig) -> Arc<Self> {
-        Arc::new(Self::new(tx, lambertian_m, room, cfg))
-    }
-
     /// The cached transmitter pose.
     pub fn tx(&self) -> &Pose {
         &self.tx
@@ -199,109 +173,81 @@ impl NlosTxCache {
         &self.cfg
     }
 
-    /// Floor-bounce gain toward `rx` — bitwise identical to
-    /// [`crate::nlos::floor_bounce_gain`] for the cached TX.
-    pub fn floor_gain(&self, rx: &Pose, optics: &RxOptics) -> f64 {
-        self.floor_gain_pooled(rx, optics, &Pool::new(Jobs::from_env()), &Span::noop())
-    }
-
-    /// [`Self::floor_gain`] with an explicit worker count.
-    pub fn floor_gain_par(&self, rx: &Pose, optics: &RxOptics, jobs: Jobs) -> f64 {
-        self.floor_gain_pooled(rx, optics, &Pool::new(jobs), &Span::noop())
-    }
-
-    /// [`Self::floor_gain`] on a caller-supplied pool, recording a
-    /// `channel.nlos.floor.cached` span under `parent` with one
+    /// Floor-bounce gain toward `rx` on `ctx`'s pool — bitwise identical
+    /// to [`crate::nlos::floor_bounce_gain`] for the cached TX — recording
+    /// a `channel.nlos.floor.cached` span under `ctx.span` with one
     /// `channel.nlos.floor.cached.row` child per quadrature row.
-    pub fn floor_gain_pooled(
-        &self,
-        rx: &Pose,
-        optics: &RxOptics,
-        pool: &Pool,
-        parent: &Span,
-    ) -> f64 {
+    pub fn floor_gain(&self, rx: &Pose, optics: &RxOptics, ctx: &Ctx) -> f64 {
         let da = self.cfg.patch_size_m * self.cfg.patch_size_m;
         let profile = optics.profile();
-        let floor = parent.child("channel.nlos.floor.cached");
+        let floor = ctx.span.child("channel.nlos.floor.cached");
         floor.attr("rows", &self.ny.to_string());
-        let row_sums = pool.map_indexed(self.ny, |iy| {
-            let _row = floor.child_indexed("channel.nlos.floor.cached.row", iy);
-            let idx = &self.floor_live_idx[self.floor_row_ptr[iy]..self.floor_row_ptr[iy + 1]];
-            let legs = &self.floor_live_leg[self.floor_row_ptr[iy]..self.floor_row_ptr[iy + 1]];
-            let wy = (iy as f64 + 0.5) * self.cfg.patch_size_m;
-            let mut row = 0.0;
-            let mut lane = [0.0f64; LANE];
-            let tail = idx.len() - idx.len() % LANE;
-            for base in (0..tail).step_by(LANE) {
-                for (l, slot) in lane.iter_mut().enumerate() {
-                    let w = Vec3::new(self.xs[idx[base + l] as usize], wy, 0.0);
-                    *slot = legs[base + l] * patch_rx_leg_profiled(rx, w, Vec3::UP, &profile);
+        let row_sums = ctx.on_pool(|pool| {
+            pool.map_indexed(self.ny, |iy| {
+                let _row = floor.child_indexed("channel.nlos.floor.cached.row", iy);
+                let idx = &self.floor_live_idx[self.floor_row_ptr[iy]..self.floor_row_ptr[iy + 1]];
+                let legs = &self.floor_live_leg[self.floor_row_ptr[iy]..self.floor_row_ptr[iy + 1]];
+                let wy = (iy as f64 + 0.5) * self.cfg.patch_size_m;
+                let mut row = 0.0;
+                let mut lane = [0.0f64; LANE];
+                let tail = idx.len() - idx.len() % LANE;
+                for base in (0..tail).step_by(LANE) {
+                    for (l, slot) in lane.iter_mut().enumerate() {
+                        let w = Vec3::new(self.xs[idx[base + l] as usize], wy, 0.0);
+                        *slot = legs[base + l] * patch_rx_leg_profiled(rx, w, Vec3::UP, &profile);
+                    }
+                    // Lane results fold into the row strictly in patch order.
+                    for &contribution in &lane {
+                        row += contribution;
+                    }
                 }
-                // Lane results fold into the row strictly in patch order.
-                for &contribution in &lane {
-                    row += contribution;
+                for (k, &ix) in idx.iter().enumerate().skip(tail) {
+                    let w = Vec3::new(self.xs[ix as usize], wy, 0.0);
+                    row += legs[k] * patch_rx_leg_profiled(rx, w, Vec3::UP, &profile);
                 }
-            }
-            for (k, &ix) in idx.iter().enumerate().skip(tail) {
-                let w = Vec3::new(self.xs[ix as usize], wy, 0.0);
-                row += legs[k] * patch_rx_leg_profiled(rx, w, Vec3::UP, &profile);
-            }
-            row
+                row
+            })
         });
         row_sums.iter().sum::<f64>() * da
     }
 
-    /// Wall-bounce gain toward `rx` — bitwise identical to
-    /// [`crate::nlos::wall_bounce_gain`] for the cached TX.
-    pub fn wall_gain(&self, rx: &Pose, optics: &RxOptics) -> f64 {
-        self.wall_gain_pooled(rx, optics, &Pool::new(Jobs::from_env()), &Span::noop())
-    }
-
-    /// [`Self::wall_gain`] with an explicit worker count.
-    pub fn wall_gain_par(&self, rx: &Pose, optics: &RxOptics, jobs: Jobs) -> f64 {
-        self.wall_gain_pooled(rx, optics, &Pool::new(jobs), &Span::noop())
-    }
-
-    /// [`Self::wall_gain`] on a caller-supplied pool, recording a
-    /// `channel.nlos.wall.cached` span under `parent` with one
+    /// Wall-bounce gain toward `rx` on `ctx`'s pool — bitwise identical
+    /// to [`crate::nlos::wall_bounce_gain`] for the cached TX — recording a
+    /// `channel.nlos.wall.cached` span under `ctx.span` with one
     /// `channel.nlos.wall.cached.col` child per wall column.
-    pub fn wall_gain_pooled(
-        &self,
-        rx: &Pose,
-        optics: &RxOptics,
-        pool: &Pool,
-        parent: &Span,
-    ) -> f64 {
+    pub fn wall_gain(&self, rx: &Pose, optics: &RxOptics, ctx: &Ctx) -> f64 {
         let da = self.cfg.patch_size_m * self.cfg.patch_size_m;
         let profile = optics.profile();
-        let wall = parent.child("channel.nlos.wall.cached");
+        let wall = ctx.span.child("channel.nlos.wall.cached");
         wall.attr("cols", &self.columns.len().to_string());
-        let column_sums = pool.map_indexed(self.columns.len(), |c| {
-            let _col = wall.child_indexed("channel.nlos.wall.cached.col", c);
-            let (origin, axis, normal, iu) = self.columns[c];
-            let idx = &self.wall_live_idx[self.wall_col_ptr[c]..self.wall_col_ptr[c + 1]];
-            let legs = &self.wall_live_leg[self.wall_col_ptr[c]..self.wall_col_ptr[c + 1]];
-            // `wall_patch_center` evaluates `(origin + axis·u) + Z·z`
-            // left-associated; hoisting the column-constant first addend
-            // changes nothing bitwise.
-            let base_w = origin + axis * ((iu as f64 + 0.5) * self.cfg.patch_size_m);
-            let mut col = 0.0;
-            let mut lane = [0.0f64; LANE];
-            let tail = idx.len() - idx.len() % LANE;
-            for base in (0..tail).step_by(LANE) {
-                for (l, slot) in lane.iter_mut().enumerate() {
-                    let w = base_w + Vec3::Z * self.zs[idx[base + l] as usize];
-                    *slot = legs[base + l] * patch_rx_leg_profiled(rx, w, normal, &profile);
+        let column_sums = ctx.on_pool(|pool| {
+            pool.map_indexed(self.columns.len(), |c| {
+                let _col = wall.child_indexed("channel.nlos.wall.cached.col", c);
+                let (origin, axis, normal, iu) = self.columns[c];
+                let idx = &self.wall_live_idx[self.wall_col_ptr[c]..self.wall_col_ptr[c + 1]];
+                let legs = &self.wall_live_leg[self.wall_col_ptr[c]..self.wall_col_ptr[c + 1]];
+                // `wall_patch_center` evaluates `(origin + axis·u) + Z·z`
+                // left-associated; hoisting the column-constant first addend
+                // changes nothing bitwise.
+                let base_w = origin + axis * ((iu as f64 + 0.5) * self.cfg.patch_size_m);
+                let mut col = 0.0;
+                let mut lane = [0.0f64; LANE];
+                let tail = idx.len() - idx.len() % LANE;
+                for base in (0..tail).step_by(LANE) {
+                    for (l, slot) in lane.iter_mut().enumerate() {
+                        let w = base_w + Vec3::Z * self.zs[idx[base + l] as usize];
+                        *slot = legs[base + l] * patch_rx_leg_profiled(rx, w, normal, &profile);
+                    }
+                    for &contribution in &lane {
+                        col += contribution;
+                    }
                 }
-                for &contribution in &lane {
-                    col += contribution;
+                for (k, &iz) in idx.iter().enumerate().skip(tail) {
+                    let w = base_w + Vec3::Z * self.zs[iz as usize];
+                    col += legs[k] * patch_rx_leg_profiled(rx, w, normal, &profile);
                 }
-            }
-            for (k, &iz) in idx.iter().enumerate().skip(tail) {
-                let w = base_w + Vec3::Z * self.zs[iz as usize];
-                col += legs[k] * patch_rx_leg_profiled(rx, w, normal, &profile);
-            }
-            col
+                col
+            })
         });
         column_sums.iter().sum::<f64>() * da
     }
@@ -313,6 +259,7 @@ mod tests {
     use crate::lambertian::lambertian_order;
     use crate::nlos::{floor_bounce_gain, wall_bounce_gain};
     use vlc_geom::TxGrid;
+    use vlc_par::{Jobs, Pool};
 
     fn setup() -> (Room, f64, RxOptics) {
         (
@@ -327,11 +274,12 @@ mod tests {
         let (room, m, optics) = setup();
         let grid = TxGrid::paper(&room);
         let cfg = NlosConfig::default();
-        let cache = NlosTxCache::new(&grid.pose(1), m, &room, &cfg);
+        let cache = NlosTxCache::new(&grid.pose(1), m, &room, &cfg, &Ctx::noop());
         for follower in [0usize, 2, 7, 35] {
             let rx = grid.pose(follower);
-            let direct = floor_bounce_gain(&grid.pose(1), &rx, m, &optics, &room, &cfg);
-            let cached = cache.floor_gain(&rx, &optics);
+            let direct =
+                floor_bounce_gain(&grid.pose(1), &rx, m, &optics, &room, &cfg, &Ctx::noop());
+            let cached = cache.floor_gain(&rx, &optics, &Ctx::noop());
             assert_eq!(
                 cached.to_bits(),
                 direct.to_bits(),
@@ -345,10 +293,10 @@ mod tests {
         let (room, m, optics) = setup();
         let grid = TxGrid::paper(&room);
         let cfg = NlosConfig { patch_size_m: 0.1 };
-        let cache = NlosTxCache::new(&grid.pose(7), m, &room, &cfg);
+        let cache = NlosTxCache::new(&grid.pose(7), m, &room, &cfg, &Ctx::noop());
         let rx = Pose::face_up(0.92, 0.92, 0.0);
-        let direct = wall_bounce_gain(&grid.pose(7), &rx, m, &optics, &room, &cfg);
-        let cached = cache.wall_gain(&rx, &optics);
+        let direct = wall_bounce_gain(&grid.pose(7), &rx, m, &optics, &room, &cfg, &Ctx::noop());
+        let cached = cache.wall_gain(&rx, &optics, &Ctx::noop());
         assert_eq!(cached.to_bits(), direct.to_bits());
         assert!(cached > 0.0);
     }
@@ -358,23 +306,24 @@ mod tests {
         let (room, m, optics) = setup();
         let grid = TxGrid::paper(&room);
         let cfg = NlosConfig::default();
-        let cache = NlosTxCache::new(&grid.pose(1), m, &room, &cfg);
+        let cache = NlosTxCache::new(&grid.pose(1), m, &room, &cfg, &Ctx::noop());
         let rx = grid.pose(2);
-        let reference = cache.floor_gain_par(&rx, &optics, Jobs::serial());
+        let on = |jobs| cache.floor_gain(&rx, &optics, &Ctx::noop().with_pool(&Pool::new(jobs)));
+        let reference = on(Jobs::serial());
         for jobs in [Jobs::of(2), Jobs::of(7), Jobs::max()] {
-            let got = cache.floor_gain_par(&rx, &optics, jobs);
+            let got = on(jobs);
             assert_eq!(got.to_bits(), reference.to_bits(), "jobs={jobs}");
         }
     }
 
     #[test]
-    fn shared_cache_serves_multiple_followers() {
+    fn one_cache_serves_multiple_followers() {
         let (room, m, optics) = setup();
         let grid = TxGrid::paper(&room);
         let cfg = NlosConfig::default();
-        let cache = NlosTxCache::shared(&grid.pose(1), m, &room, &cfg);
-        let near = cache.floor_gain(&grid.pose(2), &optics);
-        let far = cache.floor_gain(&grid.pose(35), &optics);
+        let cache = NlosTxCache::new(&grid.pose(1), m, &room, &cfg, &Ctx::noop());
+        let near = cache.floor_gain(&grid.pose(2), &optics, &Ctx::noop());
+        let far = cache.floor_gain(&grid.pose(35), &optics, &Ctx::noop());
         assert!(near > far, "near {near:e} !> far {far:e}");
     }
 
@@ -383,6 +332,12 @@ mod tests {
     fn zero_patch_size_panics() {
         let (room, m, _) = setup();
         let grid = TxGrid::paper(&room);
-        NlosTxCache::new(&grid.pose(0), m, &room, &NlosConfig { patch_size_m: 0.0 });
+        NlosTxCache::new(
+            &grid.pose(0),
+            m,
+            &room,
+            &NlosConfig { patch_size_m: 0.0 },
+            &Ctx::noop(),
+        );
     }
 }

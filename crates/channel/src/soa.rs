@@ -246,22 +246,12 @@ mod tests {
     use super::*;
     use crate::lambertian::RxOptics;
     use vlc_geom::{Room, TxGrid};
-    use vlc_par::{Jobs, Pool};
-    use vlc_trace::Span;
 
     fn small_matrix() -> ChannelMatrix {
         let room = Room::paper_testbed();
         let grid = TxGrid::paper(&room);
         let receivers = vec![Pose::face_up(0.75, 2.25, 0.8), Pose::face_up(2.0, 1.0, 0.8)];
-        ChannelMatrix::compute_with_blockage_pooled(
-            &grid,
-            &receivers,
-            15f64.to_radians(),
-            &RxOptics::paper(),
-            &[],
-            &Pool::new(Jobs::serial()),
-            &Span::noop(),
-        )
+        ChannelMatrix::compute(&grid, &receivers, 15f64.to_radians(), &RxOptics::paper())
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! and therefore in both halves of `cargo tier2`.
 
 use proptest::prelude::*;
-use vlc_channel::nlos::{floor_bounce_gain_par, wall_bounce_gain_par, NlosConfig};
+use vlc_channel::nlos::{floor_bounce_gain, wall_bounce_gain, NlosConfig};
 use vlc_channel::{
     lambertian_order, ChannelMatrix, ChannelUpdater, CylinderBlocker, NlosTxCache, RxOptics,
 };
 use vlc_geom::{Pose, Room, TxGrid};
-use vlc_par::{Jobs, Pool};
+use vlc_par::{Ctx, Jobs, Pool};
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
 
@@ -46,10 +46,12 @@ proptest! {
         let optics = RxOptics::paper();
         let m = lambertian_order(HPSA);
         let tx = grid.pose(tx_idx);
-        let cache = NlosTxCache::new(&tx, m, &room, &coarse());
+        let cache = NlosTxCache::new(&tx, m, &room, &coarse(), &Ctx::noop());
         for jobs in [Jobs::serial(), Jobs::max()] {
-            let direct = floor_bounce_gain_par(&tx, &rx, m, &optics, &room, &coarse(), jobs);
-            let cached = cache.floor_gain_par(&rx, &optics, jobs);
+            let pool = Pool::new(jobs);
+            let ctx = Ctx::noop().with_pool(&pool);
+            let direct = floor_bounce_gain(&tx, &rx, m, &optics, &room, &coarse(), &ctx);
+            let cached = cache.floor_gain(&rx, &optics, &ctx);
             prop_assert_eq!(cached.to_bits(), direct.to_bits(), "jobs={}", jobs);
         }
     }
@@ -62,10 +64,12 @@ proptest! {
         let optics = RxOptics::paper();
         let m = lambertian_order(HPSA);
         let tx = grid.pose(tx_idx);
-        let cache = NlosTxCache::new(&tx, m, &room, &coarse());
+        let cache = NlosTxCache::new(&tx, m, &room, &coarse(), &Ctx::noop());
         for jobs in [Jobs::serial(), Jobs::max()] {
-            let direct = wall_bounce_gain_par(&tx, &rx, m, &optics, &room, &coarse(), jobs);
-            let cached = cache.wall_gain_par(&rx, &optics, jobs);
+            let pool = Pool::new(jobs);
+            let ctx = Ctx::noop().with_pool(&pool);
+            let direct = wall_bounce_gain(&tx, &rx, m, &optics, &room, &coarse(), &ctx);
+            let cached = cache.wall_gain(&rx, &optics, &ctx);
             prop_assert_eq!(cached.to_bits(), direct.to_bits(), "jobs={}", jobs);
         }
     }
@@ -86,6 +90,7 @@ proptest! {
         let optics = RxOptics::paper();
         for jobs in [Jobs::serial(), Jobs::max()] {
             let pool = Pool::new(jobs);
+            let ctx = Ctx::noop().with_pool(&pool);
             let mut updater = ChannelUpdater::new(&grid, HPSA, &optics, 0.0);
             for (poses, blockers) in &steps {
                 let update = updater.update_pooled(
@@ -95,10 +100,8 @@ proptest! {
                     &Registry::noop(),
                     &Span::noop(),
                 );
-                let full = ChannelMatrix::compute_with_blockage_par(
-                    &grid, poses, HPSA, &optics, blockers, jobs,
-                );
-                let clear = ChannelMatrix::compute_par(&grid, poses, HPSA, &optics, jobs);
+                let full = ChannelMatrix::sound(&grid, poses, HPSA, &optics, blockers, None, &ctx);
+                let clear = ChannelMatrix::sound(&grid, poses, HPSA, &optics, &[], None, &ctx);
                 prop_assert_eq!(&update.matrix, &full, "masked, jobs={}", jobs);
                 prop_assert_eq!(&update.clear, &clear, "clear, jobs={}", jobs);
                 let blocked = (0..grid.len())
@@ -130,7 +133,13 @@ proptest! {
         // Shadow model of the invalidation rule.
         let mut effective: Vec<Pose> = Vec::new();
         for (poses, blockers) in &steps {
-            let update = updater.update(poses, blockers);
+            let update = updater.update_pooled(
+                poses,
+                blockers,
+                &Pool::from_env(),
+                &Registry::noop(),
+                &Span::noop(),
+            );
             if effective.is_empty() {
                 effective = poses.clone();
             } else {

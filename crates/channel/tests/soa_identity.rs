@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use vlc_channel::fov::cone_live;
 use vlc_channel::nlos::{
-    floor_bounce_gain_par, floor_bounce_gain_scalar, wall_bounce_gain_par, wall_bounce_gain_scalar,
+    floor_bounce_gain, floor_bounce_gain_scalar, wall_bounce_gain, wall_bounce_gain_scalar,
     NlosConfig,
 };
 use vlc_channel::{
@@ -16,8 +16,7 @@ use vlc_channel::{
     RxOptics, SparseChannelView,
 };
 use vlc_geom::{Pose, Room, TxGrid};
-use vlc_par::{Jobs, Pool};
-use vlc_trace::Span;
+use vlc_par::{Ctx, Jobs, Pool};
 
 const HPSA: f64 = 0.2617993877991494; // 15° in radians
 
@@ -129,11 +128,12 @@ proptest! {
         let mask = FovMask::compute(&grid, &rxs, &optics.profile());
         for jobs in [Jobs::serial(), Jobs::max()] {
             let pool = Pool::new(jobs);
-            let masked = ChannelMatrix::compute_masked_pooled(
-                &grid, &rxs, HPSA, &optics, &blockers, Some(&mask), &pool, &Span::noop(),
+            let ctx = Ctx::noop().with_pool(&pool);
+            let masked = ChannelMatrix::sound(
+                &grid, &rxs, HPSA, &optics, &blockers, Some(&mask), &ctx,
             );
-            let unmasked = ChannelMatrix::compute_with_blockage_pooled(
-                &grid, &rxs, HPSA, &optics, &blockers, &pool, &Span::noop(),
+            let unmasked = ChannelMatrix::sound(
+                &grid, &rxs, HPSA, &optics, &blockers, None, &ctx,
             );
             for t in 0..grid.len() {
                 let tx = grid.pose(t);
@@ -172,8 +172,10 @@ proptest! {
         let floor_ref = floor_bounce_gain_scalar(&tx, &rx, m, &optics, &room, &cfg);
         let wall_ref = wall_bounce_gain_scalar(&tx, &rx, m, &optics, &room, &cfg);
         for jobs in [Jobs::serial(), Jobs::max()] {
-            let floor = floor_bounce_gain_par(&tx, &rx, m, &optics, &room, &cfg, jobs);
-            let wall = wall_bounce_gain_par(&tx, &rx, m, &optics, &room, &cfg, jobs);
+            let pool = Pool::new(jobs);
+            let ctx = Ctx::noop().with_pool(&pool);
+            let floor = floor_bounce_gain(&tx, &rx, m, &optics, &room, &cfg, &ctx);
+            let wall = wall_bounce_gain(&tx, &rx, m, &optics, &room, &cfg, &ctx);
             prop_assert_eq!(floor.to_bits(), floor_ref.to_bits());
             prop_assert_eq!(wall.to_bits(), wall_ref.to_bits());
         }

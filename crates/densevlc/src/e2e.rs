@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 use vlc_channel::{AwgnChannel, NoiseParams};
 use vlc_led::power::optical_swing_amplitude;
 use vlc_led::LedParams;
+use vlc_par::Ctx;
 use vlc_phy::codec::RsStack;
 use vlc_phy::frame::{protocol, Frame, FrameError, FrameHeader};
 use vlc_phy::manchester::{manchester_decode, manchester_encode, Chip};
@@ -114,17 +115,8 @@ pub struct E2eResult {
 
 /// Runs `frames` joint transmissions of a fresh random payload each and
 /// reports PER and goodput.
-pub fn run(
-    txs: &[E2eTx],
-    scheme: &SyncScheme,
-    cfg: &E2eConfig,
-    frames: usize,
-    seed: u64,
-) -> E2eResult {
-    run_instrumented(txs, scheme, cfg, frames, seed, &Registry::noop())
-}
-
-/// [`run`] with telemetry: frame encode/decode counters flow through the
+///
+/// Frame encode/decode counters flow into `ctx.metrics` through the
 /// instrumented PHY codec (`phy.frames_encoded`, `phy.frames_decoded`,
 /// `phy.rs_symbols_corrected`, `phy.rs_uncorrectable`,
 /// `phy.frame_sync_errors`); failures to even reach the decoder count into
@@ -133,15 +125,15 @@ pub fn run(
 /// not match the transmitted one count into `phy.frames_bad_payload`; and
 /// each sliced frame's raw chip error fraction (sliced vs. transmitted MAC
 /// chips, before FEC) lands in the `phy.ber` histogram.
-pub fn run_instrumented(
+pub fn run(
     txs: &[E2eTx],
     scheme: &SyncScheme,
     cfg: &E2eConfig,
     frames: usize,
     seed: u64,
-    telemetry: &Registry,
+    ctx: &Ctx,
 ) -> E2eResult {
-    FramePipeline::new(cfg).run(txs, scheme, cfg, frames, seed, telemetry)
+    FramePipeline::new(cfg).run(txs, scheme, cfg, frames, seed, ctx.metrics)
 }
 
 /// The scalar reference implementation of [`run`]: `Vec<Chip>` streams,
@@ -159,8 +151,10 @@ pub fn run_scalar(
     run_scalar_instrumented(txs, scheme, cfg, frames, seed, &Registry::noop())
 }
 
-/// [`run_scalar`] with telemetry — the instrumented scalar reference.
-pub fn run_scalar_instrumented(
+/// [`run_scalar`] with telemetry — the instrumented scalar reference that
+/// `packed_run_emits_the_same_telemetry_counters` holds the packed
+/// pipeline to.
+fn run_scalar_instrumented(
     txs: &[E2eTx],
     scheme: &SyncScheme,
     cfg: &E2eConfig,
@@ -336,8 +330,7 @@ pub fn run_scalar_instrumented(
 /// warmed pipeline runs frames (and ARQ retries) with **zero heap
 /// allocations** in steady state (`crates/densevlc/tests/e2e_identity.rs`
 /// pins this with a counting allocator). Its output is bit-identical to
-/// the scalar reference ([`run_scalar_instrumented`],
-/// [`run_concurrent_scalar`]): identical RNG draw order, identical float
+/// the scalar reference ([`run_scalar`], [`run_concurrent_scalar`]): identical RNG draw order, identical float
 /// summation order, identical slicing predicates — so [`E2eResult`]
 /// matches exactly, not just statistically (and the trait refactor is
 /// pinned against hard-coded pre-refactor values by
@@ -429,7 +422,7 @@ impl FramePipeline {
         );
     }
 
-    /// The packed twin of [`run_scalar_instrumented`]: same RNG stream,
+    /// The packed twin of [`run_scalar`]: same RNG stream,
     /// same physics, same telemetry counters, bit-identical [`E2eResult`] —
     /// but through reusable packed buffers. Packed encode work runs under
     /// the `phy.packed.encode_s` span, slice + Manchester decode under
@@ -1119,7 +1112,14 @@ mod tests {
         // Table 5, row 1: 2 TXs on one BBB — no sync required, low PER.
         let txs = two_tx();
         assert_eq!(txs[0].host, txs[1].host);
-        let res = run(&txs, &SyncScheme::SyncOff, &E2eConfig::default(), 30, 1);
+        let res = run(
+            &txs,
+            &SyncScheme::SyncOff,
+            &E2eConfig::default(),
+            30,
+            1,
+            &Ctx::noop(),
+        );
         assert!(res.per < 0.1, "PER {}", res.per);
         assert!(res.goodput_bps > 25e3, "goodput {}", res.goodput_bps);
     }
@@ -1134,6 +1134,7 @@ mod tests {
             &E2eConfig::default(),
             30,
             2,
+            &Ctx::noop(),
         );
         assert!(res.per > 0.6, "PER {}", res.per);
     }
@@ -1148,6 +1149,7 @@ mod tests {
             &E2eConfig::default(),
             30,
             3,
+            &Ctx::noop(),
         );
         assert!(res.per < 0.1, "PER {}", res.per);
         assert!(res.goodput_bps > 25e3, "goodput {}", res.goodput_bps);
@@ -1163,6 +1165,7 @@ mod tests {
             &E2eConfig::default(),
             30,
             4,
+            &Ctx::noop(),
         );
         assert!(
             (res.goodput_bps - 33_900.0).abs() < 4_000.0,
@@ -1181,6 +1184,7 @@ mod tests {
             &E2eConfig::default(),
             30,
             5,
+            &Ctx::noop(),
         );
         let nlos = run(
             &four_tx(),
@@ -1188,6 +1192,7 @@ mod tests {
             &E2eConfig::default(),
             30,
             5,
+            &Ctx::noop(),
         );
         assert!(
             ptp.per > nlos.per + 0.2,
@@ -1205,7 +1210,14 @@ mod tests {
             gain: 1e-12,
             host: 0,
         }];
-        let res = run(&txs, &SyncScheme::SyncOff, &E2eConfig::default(), 5, 6);
+        let res = run(
+            &txs,
+            &SyncScheme::SyncOff,
+            &E2eConfig::default(),
+            5,
+            6,
+            &Ctx::noop(),
+        );
         assert_eq!(res.frames_ok, 0);
         assert_eq!(res.per, 1.0);
         assert_eq!(res.goodput_bps, 0.0);
@@ -1214,7 +1226,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one transmitter")]
     fn empty_tx_set_panics() {
-        run(&[], &SyncScheme::SyncOff, &E2eConfig::default(), 1, 0);
+        run(
+            &[],
+            &SyncScheme::SyncOff,
+            &E2eConfig::default(),
+            1,
+            0,
+            &Ctx::noop(),
+        );
     }
 
     #[test]
@@ -1252,7 +1271,7 @@ mod tests {
             host: hosts.host_of(7),
         }];
         let cfg = E2eConfig::default();
-        let single = run(&txs, &SyncScheme::SyncOff, &cfg, 20, 202);
+        let single = run(&txs, &SyncScheme::SyncOff, &cfg, 20, 202, &Ctx::noop());
         let wifi = vlc_mac::WifiUplink::paper();
         let arq = crate::e2e::run_with_arq(&txs, &SyncScheme::SyncOff, &cfg, &wifi, 20, 5, 202);
         let arq_rate = arq.delivered as f64 / arq.payloads_total as f64;
@@ -1388,7 +1407,7 @@ mod tests {
             (&weak, SyncScheme::SyncOff, 6),
         ];
         for (txs, scheme, seed) in cases {
-            let packed = run(txs, &scheme, &cfg, 12, seed);
+            let packed = run(txs, &scheme, &cfg, 12, seed, &Ctx::noop());
             let scalar = run_scalar(txs, &scheme, &cfg, 12, seed);
             assert_eq!(packed, scalar, "scheme {scheme:?} seed {seed}");
         }
@@ -1404,7 +1423,7 @@ mod tests {
         let noop = Registry::noop();
         for seed in [9u64, 10, 11] {
             let reused = pipeline.run(&txs, &SyncScheme::SyncOff, &cfg, 5, seed, &noop);
-            let fresh = run(&txs, &SyncScheme::SyncOff, &cfg, 5, seed);
+            let fresh = run(&txs, &SyncScheme::SyncOff, &cfg, 5, seed, &Ctx::noop());
             assert_eq!(reused, fresh, "seed {seed}");
         }
     }
@@ -1449,7 +1468,15 @@ mod tests {
         ] {
             let reg_packed = Registry::new();
             let reg_scalar = Registry::new();
-            run_instrumented(&txs, &scheme, &cfg, 10, seed, &reg_packed);
+            let quiet = vlc_trace::Span::noop();
+            run(
+                &txs,
+                &scheme,
+                &cfg,
+                10,
+                seed,
+                &Ctx::new(&reg_packed, &quiet),
+            );
             run_scalar_instrumented(&txs, &scheme, &cfg, 10, seed, &reg_scalar);
             for name in [
                 "phy.frames_encoded",

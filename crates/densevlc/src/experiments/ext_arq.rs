@@ -9,6 +9,7 @@
 use crate::e2e::{run, run_with_arq, E2eConfig, E2eTx};
 use serde::{Deserialize, Serialize};
 use vlc_mac::WifiUplink;
+use vlc_par::Ctx;
 use vlc_sync::SyncScheme;
 use vlc_testbed::{BbbHostMap, Deployment};
 
@@ -50,7 +51,14 @@ pub fn run_study(attenuations: &[f64], payloads: usize, seed: u64) -> ExtArq {
                 gain: base_gain * attenuation,
                 host: hosts.host_of(7),
             }];
-            let single = run(&txs, &SyncScheme::SyncOff, &cfg, payloads, seed);
+            let single = run(
+                &txs,
+                &SyncScheme::SyncOff,
+                &cfg,
+                payloads,
+                seed,
+                &Ctx::noop(),
+            );
             let arq = run_with_arq(
                 &txs,
                 &SyncScheme::SyncOff,

@@ -10,11 +10,10 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vlc_channel::RxOptics;
 use vlc_geom::{Room, TxGrid};
+use vlc_par::Ctx;
 use vlc_phy::manchester::manchester_encode;
 use vlc_sync::{ClockModel, NlosSyncLink, SyncScheme};
-use vlc_telemetry::Registry;
 use vlc_testbed::Scope;
-use vlc_trace::Span;
 
 /// The Table 4 result, all values in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -28,7 +27,24 @@ pub struct Tab04 {
 }
 
 /// Runs the scope measurement for each scheme over `frames` frames.
-pub fn run(frames: usize, seed: u64) -> Tab04 {
+///
+/// When `ctx` observes anything (a live registry or span), also probes the
+/// paper's TX2→TX3 pilot link: a `sync.link_build` span for the
+/// floor-bounce link construction, then one `sync.pilot_round` child per
+/// frame (indexed by frame) wrapping the detector (`sync.pilot_snr`,
+/// `sync.pilot_detections` / `sync.pilot_misses`), and publishes the state
+/// of a representative follower clock (`sync.offset_s`, `sync.drift_ppm`).
+/// The probe draws from its own RNG stream, so the medians do not depend
+/// on it.
+pub fn run(frames: usize, seed: u64, ctx: &Ctx) -> Tab04 {
+    let result = scope_medians(frames, seed);
+    if ctx.metrics.is_enabled() || ctx.span.is_enabled() {
+        probe_pilot_link(frames, seed, ctx);
+    }
+    result
+}
+
+fn scope_medians(frames: usize, seed: u64) -> Tab04 {
     assert!(frames > 0);
     let scope = Scope::paper();
     let chips = manchester_encode(&[0xA5, 0x5A, 0xC3, 0x3C, 0x0F, 0xF0, 0x99, 0x66]);
@@ -60,38 +76,29 @@ pub fn run(frames: usize, seed: u64) -> Tab04 {
     }
 }
 
-/// [`run`] with telemetry: alongside the scope medians, probes the paper's
-/// TX2→TX3 pilot link with the instrumented detector (`sync.pilot_snr`,
-/// `sync.pilot_detections` / `sync.pilot_misses`) and publishes the state
-/// of a representative follower clock (`sync.offset_s`, `sync.drift_ppm`).
-pub fn run_instrumented(frames: usize, seed: u64, telemetry: &Registry) -> Tab04 {
-    run_traced(frames, seed, telemetry, &Span::noop())
-}
-
-/// [`run_instrumented`] recording the pilot probe under `parent`: a
-/// `sync.link_build` span for the floor-bounce link construction, then one
-/// `sync.pilot_round` child per frame (indexed by frame) wrapping the
-/// traced detector. With a noop parent this is the instrumented path plus
-/// one branch per span site.
-pub fn run_traced(frames: usize, seed: u64, telemetry: &Registry, parent: &Span) -> Tab04 {
-    let result = run(frames, seed);
+fn probe_pilot_link(frames: usize, seed: u64, ctx: &Ctx) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x4);
-    ClockModel::beaglebone(&mut rng).observe(telemetry);
+    ClockModel::beaglebone(&mut rng).observe(ctx.metrics);
     let room = Room::paper_testbed();
     let grid = TxGrid::paper(&room);
-    let link = NlosSyncLink::between_traced(
+    let link = NlosSyncLink::between(
         &grid.pose(1),
         &grid.pose(2),
         &room,
         15f64.to_radians(),
         &RxOptics::paper(),
-        parent,
+        ctx,
     );
     for frame in 0..frames {
-        let round = parent.child_indexed("sync.pilot_round", frame);
-        link.detect_traced(&mut rng, telemetry, &round);
+        let round = ctx.span.child_indexed("sync.pilot_round", frame);
+        link.detect(
+            &mut rng,
+            &Ctx {
+                span: &round,
+                ..*ctx
+            },
+        );
     }
-    result
 }
 
 impl Tab04 {
@@ -115,7 +122,7 @@ mod tests {
 
     #[test]
     fn medians_track_paper_anchors() {
-        let t = run(120, 41);
+        let t = run(120, 41, &Ctx::noop());
         // Scope edge-pairing clips large offsets to the nearest edge, so
         // compare with generous bands around the paper's medians.
         assert!(
@@ -133,7 +140,7 @@ mod tests {
 
     #[test]
     fn ordering_matches_paper() {
-        let t = run(80, 42);
+        let t = run(80, 42, &Ctx::noop());
         assert!(t.no_sync_s > t.ntp_ptp_s);
         assert!(t.ntp_ptp_s > t.nlos_vlc_s);
         // NLOS improves on NTP/PTP by nearly an order of magnitude.
@@ -142,7 +149,7 @@ mod tests {
 
     #[test]
     fn report_contains_all_rows() {
-        let rep = run(20, 43).report();
+        let rep = run(20, 43, &Ctx::noop()).report();
         assert!(rep.contains("NTP/PTP") && rep.contains("NLOS VLC"));
     }
 }

@@ -8,10 +8,10 @@
 //! | 4 TXs, no sync      | 0          | 100 %  |
 //! | 4 TXs, NLOS sync    | 33.8 kb/s  | 0.55 % |
 
-use crate::e2e::{run_instrumented as e2e_run, E2eConfig, E2eResult, E2eTx};
+use crate::e2e::{run as e2e_run, E2eConfig, E2eResult, E2eTx};
 use serde::{Deserialize, Serialize};
+use vlc_par::Ctx;
 use vlc_sync::SyncScheme;
-use vlc_telemetry::Registry;
 use vlc_testbed::{BbbHostMap, Deployment};
 
 /// The Table 5 result.
@@ -36,35 +36,24 @@ fn setup() -> (Vec<E2eTx>, Vec<E2eTx>) {
     (vec![tx(1), tx(7)], vec![tx(1), tx(7), tx(2), tx(8)])
 }
 
-/// Runs the three scenarios with `frames` frames each.
-pub fn run(frames: usize, seed: u64) -> Tab05 {
-    run_instrumented(frames, seed, &Registry::noop())
-}
-
-/// [`run`] with telemetry: the PHY counters (`phy.frames_encoded`,
-/// `phy.frames_decoded`, `phy.rs_*`, `phy.preamble_misses`, `phy.ber`)
-/// accumulate across all three rows.
-pub fn run_instrumented(frames: usize, seed: u64, telemetry: &Registry) -> Tab05 {
+/// Runs the three scenarios with `frames` frames each; the PHY counters
+/// (`phy.frames_encoded`, `phy.frames_decoded`, `phy.rs_*`,
+/// `phy.preamble_misses`, `phy.ber`) accumulate into `ctx.metrics` across
+/// all three rows.
+pub fn run(frames: usize, seed: u64, ctx: &Ctx) -> Tab05 {
     assert!(frames > 0);
     let (two, four) = setup();
     let cfg = E2eConfig::default();
     Tab05 {
-        two_tx: e2e_run(&two, &SyncScheme::SyncOff, &cfg, frames, seed, telemetry),
-        four_tx_no_sync: e2e_run(
-            &four,
-            &SyncScheme::SyncOff,
-            &cfg,
-            frames,
-            seed ^ 1,
-            telemetry,
-        ),
+        two_tx: e2e_run(&two, &SyncScheme::SyncOff, &cfg, frames, seed, ctx),
+        four_tx_no_sync: e2e_run(&four, &SyncScheme::SyncOff, &cfg, frames, seed ^ 1, ctx),
         four_tx_nlos: e2e_run(
             &four,
             &SyncScheme::nlos_paper(),
             &cfg,
             frames,
             seed ^ 2,
-            telemetry,
+            ctx,
         ),
     }
 }
@@ -101,7 +90,7 @@ mod tests {
 
     #[test]
     fn table5_shape_holds() {
-        let t = run(25, 51);
+        let t = run(25, 51, &Ctx::noop());
         // Row 1 and row 3 deliver ~34 kb/s at low PER; row 2 collapses.
         assert!(t.two_tx.per < 0.1, "2TX PER {}", t.two_tx.per);
         assert!(t.four_tx_nlos.per < 0.1, "NLOS PER {}", t.four_tx_nlos.per);
@@ -119,14 +108,14 @@ mod tests {
 
     #[test]
     fn synced_rows_have_similar_goodput() {
-        let t = run(20, 52);
+        let t = run(20, 52, &Ctx::noop());
         let ratio = t.four_tx_nlos.goodput_bps / t.two_tx.goodput_bps;
         assert!((0.85..=1.15).contains(&ratio), "ratio {ratio}");
     }
 
     #[test]
     fn report_has_three_rows() {
-        let rep = run(5, 53).report();
+        let rep = run(5, 53, &Ctx::noop()).report();
         assert_eq!(rep.lines().count(), 4);
         assert!(rep.contains("NLOS sync"));
     }

@@ -64,6 +64,7 @@ fn pipeline_results_are_pinned_to_pre_codec_stack_values() {
     // statistically close. Any drift in RNG draw order, RS behavior, or
     // float arithmetic shows up here as an exact-value mismatch.
     use densevlc::e2e::{run, E2eResult};
+    use vlc_par::Ctx;
     use vlc_testbed::{BbbHostMap, Deployment};
 
     let cfg = E2eConfig::default();
@@ -138,7 +139,7 @@ fn pipeline_results_are_pinned_to_pre_codec_stack_values() {
         ),
     ];
     for (name, txs, seed, frames, expected) in cases {
-        let got = run(txs, &SyncScheme::SyncOff, &cfg, frames, seed);
+        let got = run(txs, &SyncScheme::SyncOff, &cfg, frames, seed, &Ctx::noop());
         assert_eq!(
             got, expected,
             "case {name} drifted from pre-refactor output"

@@ -10,12 +10,11 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use vlc_channel::nlos::{floor_bounce_gain, floor_bounce_gain_traced, NlosConfig};
+use vlc_channel::nlos::{floor_bounce_gain, NlosConfig};
 use vlc_channel::{NlosTxCache, NoiseParams, RxOptics};
 use vlc_geom::{Pose, Room};
 use vlc_led::{power::optical_swing_amplitude, LedParams};
-use vlc_par::Jobs;
-use vlc_telemetry::Registry;
+use vlc_par::Ctx;
 use vlc_trace::Span;
 
 /// Outcome of a pilot-detection attempt at one follower.
@@ -47,51 +46,56 @@ pub struct NlosSyncLink {
 impl NlosSyncLink {
     /// Builds the link for two TX poses in a room, using the paper's
     /// device parameters and a 32-symbol pilot.
+    ///
+    /// Records a `sync.link_build` span under `ctx.span` that wraps the
+    /// floor-bounce quadrature (whose `channel.nlos.floor` span nests
+    /// inside). The link records no metrics: without a `ctx.pool` the
+    /// quadrature runs on a pool sized from `DENSEVLC_JOBS` that reports to
+    /// no registry.
     pub fn between(
         leader: &Pose,
         follower: &Pose,
         room: &Room,
         half_power_semi_angle: f64,
         optics: &RxOptics,
+        ctx: &Ctx,
     ) -> Self {
-        Self::between_traced(
+        let build = ctx.span.child("sync.link_build");
+        let m = vlc_channel::lambertian::lambertian_order(half_power_semi_angle);
+        let bounce_gain = floor_bounce_gain(
             leader,
             follower,
-            room,
-            half_power_semi_angle,
+            m,
             optics,
-            &Span::noop(),
-        )
+            room,
+            &NlosConfig::default(),
+            &quadrature_ctx(ctx, &build),
+        );
+        Self::paper(bounce_gain, optics)
     }
 
-    /// [`Self::between`] recording a `sync.link_build` span under `parent`
-    /// that wraps the floor-bounce quadrature (whose `channel.nlos.floor`
-    /// span nests inside). With a noop parent this is the uninstrumented
-    /// path plus one branch per span site.
-    pub fn between_traced(
-        leader: &Pose,
+    /// [`Self::between`] evaluated through a leader-side [`NlosTxCache`]:
+    /// the source→patch table is reused across every follower of the same
+    /// leader, so building N follower links costs one cache build plus N
+    /// patch→RX sweeps that skip the source-side leg (and its `cosᵐ`
+    /// power) per patch. The bounce gain is bitwise identical to
+    /// [`Self::between`] for the cached leader pose and room. Records a
+    /// `sync.link_build_cached` span under `ctx.span` (the cache's
+    /// `channel.nlos.floor.cached` quadrature span nests inside); metrics
+    /// and pool as in [`Self::between`].
+    pub fn between_cached(
+        cache: &NlosTxCache,
         follower: &Pose,
-        room: &Room,
-        half_power_semi_angle: f64,
         optics: &RxOptics,
-        parent: &Span,
+        ctx: &Ctx,
     ) -> Self {
-        let build = parent.child("sync.link_build");
-        let m = vlc_channel::lambertian::lambertian_order(half_power_semi_angle);
-        let bounce_gain = if build.is_enabled() {
-            floor_bounce_gain_traced(
-                leader,
-                follower,
-                m,
-                optics,
-                room,
-                &NlosConfig::default(),
-                Jobs::from_env(),
-                &build,
-            )
-        } else {
-            floor_bounce_gain(leader, follower, m, optics, room, &NlosConfig::default())
-        };
+        let build = ctx.span.child("sync.link_build_cached");
+        let bounce_gain = cache.floor_gain(follower, optics, &quadrature_ctx(ctx, &build));
+        Self::paper(bounce_gain, optics)
+    }
+
+    /// The paper's device parameters around a given bounce gain.
+    fn paper(bounce_gain: f64, optics: &RxOptics) -> Self {
         NlosSyncLink {
             bounce_gain,
             led: LedParams::cree_xte_paper(),
@@ -100,42 +104,6 @@ impl NlosSyncLink {
             // 32 pilot chips × 10 samples/chip of coherent correlation.
             pilot_gain: 320.0,
             detection_threshold: 4.0, // ≈ 6 dB post-correlation
-        }
-    }
-
-    /// [`Self::between`] evaluated through a leader-side [`NlosTxCache`]:
-    /// the source→patch table is reused across every follower of the same
-    /// leader, so building N follower links costs one cache build plus N
-    /// patch→RX sweeps that skip the source-side leg (and its `cosᵐ`
-    /// power) per patch. The bounce gain is bitwise identical to
-    /// [`Self::between`] for the cached leader pose and room.
-    pub fn between_cached(cache: &NlosTxCache, follower: &Pose, optics: &RxOptics) -> Self {
-        Self::between_cached_traced(cache, follower, optics, &Span::noop())
-    }
-
-    /// [`Self::between_cached`] recording a `sync.link_build_cached` span
-    /// under `parent` (the cache's `channel.nlos.floor.cached` quadrature
-    /// span nests inside).
-    pub fn between_cached_traced(
-        cache: &NlosTxCache,
-        follower: &Pose,
-        optics: &RxOptics,
-        parent: &Span,
-    ) -> Self {
-        let build = parent.child("sync.link_build_cached");
-        let bounce_gain = cache.floor_gain_pooled(
-            follower,
-            optics,
-            &vlc_par::Pool::new(Jobs::from_env()),
-            &build,
-        );
-        NlosSyncLink {
-            bounce_gain,
-            led: LedParams::cree_xte_paper(),
-            noise: NoiseParams::paper(),
-            responsivity: optics.responsivity,
-            pilot_gain: 320.0,
-            detection_threshold: 4.0,
         }
     }
 
@@ -153,49 +121,43 @@ impl NlosSyncLink {
     /// `pilot_gain` of SNR; detection succeeds when the post-correlation
     /// SNR clears the threshold. A stochastic margin models per-frame noise
     /// realizations near the threshold.
-    pub fn detect<R: Rng + ?Sized>(&self, rng: &mut R) -> PilotDetection {
+    ///
+    /// Records a `sync.pilot_detect` span under `ctx.span` carrying the
+    /// outcome as attributes, the pre-correlation pilot SNR into the
+    /// `sync.pilot_snr` gauge, and the outcome into `sync.pilot_detections`
+    /// or `sync.pilot_misses`.
+    pub fn detect<R: Rng + ?Sized>(&self, rng: &mut R, ctx: &Ctx) -> PilotDetection {
+        let span = ctx.span.child("sync.pilot_detect");
         let snr = self.raw_snr();
         let post = snr * self.pilot_gain;
         // Noise realization: ±1 dB of per-frame wobble near the threshold.
         let wobble = 10f64.powf(rng.gen_range(-0.1..0.1));
-        PilotDetection {
+        let detection = PilotDetection {
             snr,
             detected: post * wobble >= self.detection_threshold,
+        };
+        if span.is_enabled() {
+            span.attr("detected", &detection.detected.to_string());
+            span.attr("snr", &format!("{:.6e}", detection.snr));
         }
-    }
-
-    /// [`Self::detect`] with telemetry: records the pre-correlation pilot
-    /// SNR into the `sync.pilot_snr` gauge and counts the outcome into
-    /// `sync.pilot_detections` or `sync.pilot_misses`.
-    pub fn detect_instrumented<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        telemetry: &Registry,
-    ) -> PilotDetection {
-        self.detect_traced(rng, telemetry, &Span::noop())
-    }
-
-    /// [`Self::detect_instrumented`] recording a `sync.pilot_detect` span
-    /// under `parent` carrying the detection outcome as attributes. With a
-    /// noop parent this is the instrumented path plus one branch per span
-    /// site.
-    pub fn detect_traced<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        telemetry: &Registry,
-        parent: &Span,
-    ) -> PilotDetection {
-        let span = parent.child("sync.pilot_detect");
-        let detection = self.detect(rng);
-        span.attr("detected", &detection.detected.to_string());
-        span.attr("snr", &format!("{:.6e}", detection.snr));
-        telemetry.gauge("sync.pilot_snr").set(detection.snr);
+        let metrics = ctx.metrics;
+        metrics.gauge("sync.pilot_snr").set(detection.snr);
         if detection.detected {
-            telemetry.counter("sync.pilot_detections").inc();
+            metrics.counter("sync.pilot_detections").inc();
         } else {
-            telemetry.counter("sync.pilot_misses").inc();
+            metrics.counter("sync.pilot_misses").inc();
         }
         detection
+    }
+}
+
+/// The context a link's floor-bounce quadrature runs in: nested under the
+/// link's `build` span, on the caller's pool if any, with no metrics.
+fn quadrature_ctx<'a>(ctx: &Ctx<'a>, build: &'a Span) -> Ctx<'a> {
+    Ctx {
+        metrics: Ctx::noop().metrics,
+        span: build,
+        pool: ctx.pool,
     }
 }
 
@@ -216,6 +178,7 @@ mod tests {
             &room,
             15f64.to_radians(),
             &RxOptics::paper(),
+            &Ctx::noop(),
         )
     }
 
@@ -224,7 +187,9 @@ mod tests {
         // The testbed's §8.1 experiment: TX2 leads, TX3 follows (adjacent).
         let link = grid_link(1, 2, 0.6);
         let mut rng = StdRng::seed_from_u64(11);
-        let hits = (0..100).filter(|_| link.detect(&mut rng).detected).count();
+        let hits = (0..100)
+            .filter(|_| link.detect(&mut rng, &Ctx::noop()).detected)
+            .count();
         assert!(
             hits >= 95,
             "only {hits}/100 detections, snr {}",
@@ -237,7 +202,9 @@ mod tests {
         // Paper §9: pilots remain detectable on less-reflective floors.
         let link = grid_link(1, 2, 0.25);
         let mut rng = StdRng::seed_from_u64(12);
-        let hits = (0..100).filter(|_| link.detect(&mut rng).detected).count();
+        let hits = (0..100)
+            .filter(|_| link.detect(&mut rng, &Ctx::noop()).detected)
+            .count();
         assert!(hits >= 80, "only {hits}/100 detections on dull floor");
     }
 
@@ -261,7 +228,9 @@ mod tests {
         // be what makes detection work (this is the design point).
         if weak.raw_snr() < weak.detection_threshold {
             let mut rng = StdRng::seed_from_u64(13);
-            let hits = (0..100).filter(|_| link.detect(&mut rng).detected).count();
+            let hits = (0..100)
+                .filter(|_| link.detect(&mut rng, &Ctx::noop()).detected)
+                .count();
             assert!(hits >= 95);
         }
     }
@@ -282,7 +251,13 @@ mod tests {
         let grid = TxGrid::paper(&room);
         let optics = RxOptics::paper();
         let m = vlc_channel::lambertian::lambertian_order(15f64.to_radians());
-        let cache = NlosTxCache::shared(&grid.pose(1), m, &room, &NlosConfig::default());
+        let cache = NlosTxCache::new(
+            &grid.pose(1),
+            m,
+            &room,
+            &NlosConfig::default(),
+            &Ctx::noop(),
+        );
         for follower in [0usize, 2, 7, 8] {
             let direct = NlosSyncLink::between(
                 &grid.pose(1),
@@ -290,8 +265,10 @@ mod tests {
                 &room,
                 15f64.to_radians(),
                 &optics,
+                &Ctx::noop(),
             );
-            let cached = NlosSyncLink::between_cached(&cache, &grid.pose(follower), &optics);
+            let cached =
+                NlosSyncLink::between_cached(&cache, &grid.pose(follower), &optics, &Ctx::noop());
             assert_eq!(
                 cached.bounce_gain.to_bits(),
                 direct.bounce_gain.to_bits(),

@@ -9,6 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vlc_channel::RxOptics;
 use vlc_geom::{Room, TxGrid};
+use vlc_par::Ctx;
 use vlc_phy::manchester::manchester_encode;
 use vlc_sync::{NlosSyncLink, SyncScheme};
 use vlc_testbed::{BbbHostMap, Deployment, Scope};
@@ -50,8 +51,9 @@ fn main() {
             &room,
             15f64.to_radians(),
             &RxOptics::paper(),
+            &Ctx::noop(),
         );
-        if link.detect(&mut rng).detected {
+        if link.detect(&mut rng, &Ctx::noop()).detected {
             heard.push(grid.label(tx));
         }
     }
@@ -84,7 +86,7 @@ fn main() {
         ),
     ];
     for (label, txs, scheme) in rows {
-        let res = e2e_run(&txs, &scheme, &cfg, 40, 99);
+        let res = e2e_run(&txs, &scheme, &cfg, 40, 99, &Ctx::noop());
         println!(
             "   {label:<20} {:>7.1} kb/s, PER {:>6.2} %",
             res.goodput_bps / 1e3,

@@ -381,7 +381,7 @@ fn codecs() {
 fn sync(telemetry: &Registry, parent: &Span) {
     print!(
         "{}",
-        tab04_sync_error::run_traced(150, 0x11, telemetry, parent).report()
+        tab04_sync_error::run(150, 0x11, &Ctx::new(telemetry, parent)).report()
     );
 }
 
@@ -391,7 +391,7 @@ fn iperf(args: &[String], telemetry: &Registry) {
         .unwrap_or(50);
     print!(
         "{}",
-        tab05_iperf::run_instrumented(frames, 0x12, telemetry).report()
+        tab05_iperf::run(frames, 0x12, &Ctx::new(telemetry, &Span::noop())).report()
     );
 }
 

@@ -2,6 +2,7 @@
 //! `vlc-sync` and the `densevlc` end-to-end harness.
 
 use densevlc::e2e::{run, E2eConfig, E2eTx};
+use vlc_par::Ctx;
 use vlc_sync::SyncScheme;
 use vlc_testbed::{BbbHostMap, Deployment};
 
@@ -21,7 +22,14 @@ fn single_tx_delivers_cleanly() {
         gain: gains[7],
         host: hosts.host_of(7),
     }];
-    let res = run(&txs, &SyncScheme::SyncOff, &E2eConfig::default(), 20, 1);
+    let res = run(
+        &txs,
+        &SyncScheme::SyncOff,
+        &E2eConfig::default(),
+        20,
+        1,
+        &Ctx::noop(),
+    );
     assert_eq!(res.frames_ok, 20, "PER {}", res.per);
 }
 
@@ -42,8 +50,15 @@ fn joint_transmission_superimposes() {
         })
         .collect();
     let cfg = E2eConfig::default();
-    let res_single = run(&single, &SyncScheme::nlos_paper(), &cfg, 15, 2);
-    let res_four = run(&four, &SyncScheme::nlos_paper(), &cfg, 15, 2);
+    let res_single = run(
+        &single,
+        &SyncScheme::nlos_paper(),
+        &cfg,
+        15,
+        2,
+        &Ctx::noop(),
+    );
+    let res_four = run(&four, &SyncScheme::nlos_paper(), &cfg, 15, 2, &Ctx::noop());
     assert!(res_four.per <= res_single.per);
     assert!(res_four.frames_ok >= res_single.frames_ok);
 }
@@ -58,7 +73,14 @@ fn rs_corrects_on_marginal_links() {
         gain: gains[7] * 0.045,
         host: hosts.host_of(7),
     }];
-    let res = run(&txs, &SyncScheme::SyncOff, &E2eConfig::default(), 40, 3);
+    let res = run(
+        &txs,
+        &SyncScheme::SyncOff,
+        &E2eConfig::default(),
+        40,
+        3,
+        &Ctx::noop(),
+    );
     // The link must be genuinely marginal: neither perfect nor dead.
     assert!(res.frames_ok > 0, "link completely dead");
     assert!(
@@ -81,8 +103,8 @@ fn goodput_tracks_delivery() {
         host: hosts.host_of(7),
     }];
     let cfg = E2eConfig::default();
-    let res_good = run(&good, &SyncScheme::SyncOff, &cfg, 20, 4);
-    let res_bad = run(&bad, &SyncScheme::SyncOff, &cfg, 20, 4);
+    let res_good = run(&good, &SyncScheme::SyncOff, &cfg, 20, 4, &Ctx::noop());
+    let res_bad = run(&bad, &SyncScheme::SyncOff, &cfg, 20, 4, &Ctx::noop());
     assert!(res_good.goodput_bps >= res_bad.goodput_bps);
     assert!(res_good.frames_ok >= res_bad.frames_ok);
 }
@@ -104,8 +126,8 @@ fn payload_size_trades_overhead() {
         payload_len: 600,
         ..E2eConfig::default()
     };
-    let res_small = run(&txs, &SyncScheme::SyncOff, &small, 10, 5);
-    let res_large = run(&txs, &SyncScheme::SyncOff, &large, 10, 5);
+    let res_small = run(&txs, &SyncScheme::SyncOff, &small, 10, 5, &Ctx::noop());
+    let res_large = run(&txs, &SyncScheme::SyncOff, &large, 10, 5, &Ctx::noop());
     assert_eq!(res_small.per, 0.0);
     assert_eq!(res_large.per, 0.0);
     assert!(
@@ -134,8 +156,8 @@ fn ntp_ptp_rate_ceiling_shows_up_end_to_end() {
         ..E2eConfig::default()
     };
     let fast = E2eConfig::default(); // 100 Ksym/s
-    let res_slow = run(&four, &SyncScheme::NtpPtp, &slow, 15, 6);
-    let res_fast = run(&four, &SyncScheme::NtpPtp, &fast, 15, 6);
+    let res_slow = run(&four, &SyncScheme::NtpPtp, &slow, 15, 6, &Ctx::noop());
+    let res_fast = run(&four, &SyncScheme::NtpPtp, &fast, 15, 6, &Ctx::noop());
     assert!(
         res_slow.per < res_fast.per,
         "slow {} vs fast {}",

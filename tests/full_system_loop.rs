@@ -1,7 +1,7 @@
 //! Integration: the full measure → report → plan → serve loop across
 //! `vlc-mac`, `vlc-alloc`, `vlc-channel` and `vlc-testbed`.
 
-use densevlc::e2e::{run_instrumented as e2e_run, E2eConfig, E2eTx};
+use densevlc::e2e::{run as e2e_run, E2eConfig, E2eTx};
 use densevlc::{Simulation, System};
 use vlc_mac::protocol::ChannelReport;
 use vlc_mac::{Controller, ControllerConfig};
@@ -122,7 +122,7 @@ fn telemetry_snapshot_reflects_the_full_loop() {
         &E2eConfig::default(),
         5,
         7,
-        &telemetry,
+        &Ctx::new(&telemetry, &Span::noop()),
     );
     assert_eq!(e2e.frames_ok, 5, "clean channel should deliver all frames");
 

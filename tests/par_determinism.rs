@@ -5,10 +5,10 @@
 //! the exact legacy sequential path, so these tests also pin today's
 //! numbers against accidental reassociation.
 
-use vlc_alloc::exhaustive::exhaustive_binary_jobs;
+use vlc_alloc::exhaustive::exhaustive_binary;
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::OptimalSolver;
-use vlc_channel::nlos::{floor_bounce_gain_par, wall_bounce_gain_par, NlosConfig};
+use vlc_channel::nlos::{floor_bounce_gain, wall_bounce_gain, NlosConfig};
 use vlc_channel::{ChannelMatrix, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_par::{Ctx, Jobs, Pool, JOBS_ENV};
@@ -48,10 +48,25 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 fn channel_matrix_is_bitwise_identical_for_any_worker_count() {
     let (grid, rxs) = paper_setup();
     let optics = RxOptics::paper();
-    let reference =
-        ChannelMatrix::compute_par(&grid, &rxs, 15f64.to_radians(), &optics, Jobs::serial());
+    let reference = ChannelMatrix::sound(
+        &grid,
+        &rxs,
+        15f64.to_radians(),
+        &optics,
+        &[],
+        None,
+        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
+    );
     for jobs in job_grid() {
-        let h = ChannelMatrix::compute_par(&grid, &rxs, 15f64.to_radians(), &optics, jobs);
+        let h = ChannelMatrix::sound(
+            &grid,
+            &rxs,
+            15f64.to_radians(),
+            &optics,
+            &[],
+            None,
+            &Ctx::noop().with_pool(&Pool::new(jobs)),
+        );
         assert_eq!(h.n_tx(), reference.n_tx());
         assert_eq!(h.n_rx(), reference.n_rx());
         for t in 0..h.n_tx() {
@@ -75,21 +90,45 @@ fn nlos_integrals_are_bitwise_identical_for_any_worker_count() {
     let follower = Pose::ceiling(1.8, 1.4, room.height);
     let rx = Pose::face_up(1.2, 1.0, 0.8);
 
-    let floor_ref = floor_bounce_gain_par(
+    let floor_ref = floor_bounce_gain(
         &leader,
         &follower,
         1.0,
         &optics,
         &room,
         &cfg,
-        Jobs::serial(),
+        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
     );
-    let wall_ref = wall_bounce_gain_par(&leader, &rx, 1.0, &optics, &room, &cfg, Jobs::serial());
+    let wall_ref = wall_bounce_gain(
+        &leader,
+        &rx,
+        1.0,
+        &optics,
+        &room,
+        &cfg,
+        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
+    );
     assert!(floor_ref > 0.0 && wall_ref > 0.0);
 
     for jobs in job_grid() {
-        let floor = floor_bounce_gain_par(&leader, &follower, 1.0, &optics, &room, &cfg, jobs);
-        let wall = wall_bounce_gain_par(&leader, &rx, 1.0, &optics, &room, &cfg, jobs);
+        let floor = floor_bounce_gain(
+            &leader,
+            &follower,
+            1.0,
+            &optics,
+            &room,
+            &cfg,
+            &Ctx::noop().with_pool(&Pool::new(jobs)),
+        );
+        let wall = wall_bounce_gain(
+            &leader,
+            &rx,
+            1.0,
+            &optics,
+            &room,
+            &cfg,
+            &Ctx::noop().with_pool(&Pool::new(jobs)),
+        );
         assert_eq!(
             floor.to_bits(),
             floor_ref.to_bits(),
@@ -106,12 +145,14 @@ fn nlos_integrals_are_bitwise_identical_for_any_worker_count() {
 #[test]
 fn optimal_solver_report_is_bitwise_identical_for_any_worker_count() {
     let (grid, rxs) = paper_setup();
-    let h = ChannelMatrix::compute_par(
+    let h = ChannelMatrix::sound(
         &grid,
         &rxs,
         15f64.to_radians(),
         &RxOptics::paper(),
-        Jobs::serial(),
+        &[],
+        None,
+        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
     );
     let model = SystemModel::paper(h);
     let solver = OptimalSolver::quick();
@@ -142,18 +183,26 @@ fn exhaustive_search_is_bitwise_identical_for_any_worker_count() {
     let room = Room::paper_simulation();
     let grid = TxGrid::centered(&room, 3, 2, 0.8);
     let rxs = vec![Pose::face_up(0.8, 0.9, 0.8), Pose::face_up(1.9, 1.5, 0.8)];
-    let h = ChannelMatrix::compute_par(
+    let h = ChannelMatrix::sound(
         &grid,
         &rxs,
         15f64.to_radians(),
         &RxOptics::paper(),
-        Jobs::serial(),
+        &[],
+        None,
+        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
     );
     let model = SystemModel::paper(h);
 
-    let reference = exhaustive_binary_jobs(&model, 0.9, 1_000, Jobs::serial());
+    let reference = exhaustive_binary(
+        &model,
+        0.9,
+        1_000,
+        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
+    );
     for jobs in job_grid() {
-        let result = exhaustive_binary_jobs(&model, 0.9, 1_000, jobs);
+        let result =
+            exhaustive_binary(&model, 0.9, 1_000, &Ctx::noop().with_pool(&Pool::new(jobs)));
         assert_bits_eq(
             result.allocation.as_slice(),
             reference.allocation.as_slice(),

@@ -367,10 +367,10 @@ fn channel_sync_and_phy_entry_points_keep_counters_histogram_counts_and_span_nam
     use densevlc::experiments::{tab04_sync_error, tab05_iperf};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use vlc_alloc::exhaustive::exhaustive_binary_jobs;
+    use vlc_alloc::exhaustive::exhaustive_binary;
     use vlc_alloc::SystemModel;
     use vlc_channel::lambertian::lambertian_order;
-    use vlc_channel::nlos::{floor_bounce_gain_pooled, wall_bounce_gain_pooled, NlosConfig};
+    use vlc_channel::nlos::{floor_bounce_gain, wall_bounce_gain, NlosConfig};
     use vlc_channel::{
         ChannelMatrix, ChannelUpdater, CylinderBlocker, FovMask, NlosTxCache, RxOptics,
     };
@@ -418,47 +418,23 @@ fn channel_sync_and_phy_entry_points_keep_counters_histogram_counts_and_span_nam
     section("los sounding", &mut |reg, root| {
         let pool = Pool::new(Jobs::serial()).with_telemetry(reg);
         let mask = FovMask::compute(&grid, &rxs, &narrow.profile());
-        let h = ChannelMatrix::compute_masked_pooled(
-            &grid,
-            &rxs,
-            hpsa,
-            &narrow,
-            &blockers,
-            Some(&mask),
-            &pool,
-            root,
-        );
+        let ctx = Ctx::new(reg, root).with_pool(&pool);
+        let h = ChannelMatrix::sound(&grid, &rxs, hpsa, &narrow, &blockers, Some(&mask), &ctx);
         bits_digest(h.iter().map(|(_, _, g)| g))
     });
     section("floor and wall bounce", &mut |reg, root| {
         let pool = Pool::new(Jobs::serial()).with_telemetry(reg);
-        let floor = floor_bounce_gain_pooled(
-            &grid.pose(1),
-            &grid.pose(2),
-            m,
-            &optics,
-            &room,
-            &cfg,
-            &pool,
-            root,
-        );
-        let wall = wall_bounce_gain_pooled(
-            &grid.pose(7),
-            &floor_rx,
-            m,
-            &optics,
-            &room,
-            &cfg,
-            &pool,
-            root,
-        );
+        let ctx = Ctx::new(reg, root).with_pool(&pool);
+        let floor = floor_bounce_gain(&grid.pose(1), &grid.pose(2), m, &optics, &room, &cfg, &ctx);
+        let wall = wall_bounce_gain(&grid.pose(7), &floor_rx, m, &optics, &room, &cfg, &ctx);
         bits_digest([floor, wall])
     });
     section("nlos cache", &mut |reg, root| {
         let pool = Pool::new(Jobs::serial()).with_telemetry(reg);
-        let cache = NlosTxCache::new_pooled(&grid.pose(1), m, &room, &cfg, &pool, root);
-        let floor = cache.floor_gain_pooled(&grid.pose(2), &optics, &pool, root);
-        let wall = cache.wall_gain_pooled(&floor_rx, &optics, &pool, root);
+        let ctx = Ctx::new(reg, root).with_pool(&pool);
+        let cache = NlosTxCache::new(&grid.pose(1), m, &room, &cfg, &ctx);
+        let floor = cache.floor_gain(&grid.pose(2), &optics, &ctx);
+        let wall = cache.wall_gain(&floor_rx, &optics, &ctx);
         bits_digest([floor, wall])
     });
     section("channel update", &mut |reg, root| {
@@ -468,21 +444,26 @@ fn channel_sync_and_phy_entry_points_keep_counters_histogram_counts_and_span_nam
         bits_digest(u.matrix.iter().map(|(_, _, g)| g))
     });
     section("sync link", &mut |reg, root| {
-        let cache = NlosTxCache::new(&grid.pose(1), m, &room, &NlosConfig::default());
+        let cache = NlosTxCache::new(
+            &grid.pose(1),
+            m,
+            &room,
+            &NlosConfig::default(),
+            &Ctx::noop(),
+        );
+        let ctx = Ctx::new(reg, root);
         let direct =
-            NlosSyncLink::between_traced(&grid.pose(1), &grid.pose(2), &room, hpsa, &optics, root);
-        let cached = NlosSyncLink::between_cached_traced(&cache, &grid.pose(2), &optics, root);
+            NlosSyncLink::between(&grid.pose(1), &grid.pose(2), &room, hpsa, &optics, &ctx);
+        let cached = NlosSyncLink::between_cached(&cache, &grid.pose(2), &optics, &ctx);
         let mut rng = StdRng::seed_from_u64(11);
-        let snrs: Vec<f64> = (0..3)
-            .map(|_| direct.detect_traced(&mut rng, reg, root).snr)
-            .collect();
+        let snrs: Vec<f64> = (0..3).map(|_| direct.detect(&mut rng, &ctx).snr).collect();
         bits_digest(
             [direct.bounce_gain, cached.bounce_gain]
                 .into_iter()
                 .chain(snrs),
         )
     });
-    section("e2e", &mut |reg, _| {
+    section("e2e", &mut |reg, root| {
         let txs = [
             E2eTx {
                 gain: 2.0e-6,
@@ -493,24 +474,24 @@ fn channel_sync_and_phy_entry_points_keep_counters_histogram_counts_and_span_nam
                 host: 1,
             },
         ];
-        let r = e2e::run_instrumented(
+        let r = e2e::run(
             &txs,
             &SyncScheme::nlos_paper(),
             &E2eConfig::default(),
             3,
             7,
-            reg,
+            &Ctx::new(reg, root),
         );
         format!("{r:?}")
     });
     section("tab04", &mut |reg, root| {
-        format!("{:?}", tab04_sync_error::run_traced(3, 41, reg, root))
+        format!("{:?}", tab04_sync_error::run(3, 41, &Ctx::new(reg, root)))
     });
-    section("tab05", &mut |reg, _| {
-        let t = tab05_iperf::run_instrumented(2, 51, reg);
+    section("tab05", &mut |reg, root| {
+        let t = tab05_iperf::run(2, 51, &Ctx::new(reg, root));
         format!("{:?}", [t.two_tx, t.four_tx_no_sync, t.four_tx_nlos])
     });
-    section("exhaustive", &mut |_, _| {
+    section("exhaustive", &mut |reg, root| {
         let small = TxGrid::centered(&Room::paper_simulation(), 3, 3, 1.0);
         let h = ChannelMatrix::compute(
             &small,
@@ -518,7 +499,11 @@ fn channel_sync_and_phy_entry_points_keep_counters_histogram_counts_and_span_nam
             hpsa,
             &optics,
         );
-        let r = exhaustive_binary_jobs(&SystemModel::paper(h), 0.3, 1 << 21, Jobs::serial());
+        // The search records nothing of its own: on an untelemetered pool
+        // a live registry stays empty.
+        let pool = Pool::new(Jobs::serial());
+        let ctx = Ctx::new(reg, root).with_pool(&pool);
+        let r = exhaustive_binary(&SystemModel::paper(h), 0.3, 1 << 21, &ctx);
         format!("evaluated={} {}", r.evaluated, bits_digest([r.system_bps]))
     });
 

@@ -10,7 +10,7 @@
 use vlc_alloc::heuristic::heuristic_allocation;
 use vlc_alloc::model::SystemModel;
 use vlc_alloc::{HeuristicConfig, OptimalSolver};
-use vlc_channel::nlos::{floor_bounce_gain_traced, wall_bounce_gain_traced, NlosConfig};
+use vlc_channel::nlos::{floor_bounce_gain, wall_bounce_gain, NlosConfig};
 use vlc_channel::{ChannelMatrix, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_led::LedParams;
@@ -40,27 +40,19 @@ fn traced_workload(jobs: Jobs) -> TraceSnapshot {
         Pose::face_up(1.99, 1.69, 0.8),
     ];
     let optics = RxOptics::paper();
-    let h = ChannelMatrix::compute_with_blockage_traced(
-        &grid,
-        &rxs,
-        15f64.to_radians(),
-        &optics,
-        &[],
-        jobs,
-        &root,
-    );
+    let quiet = Registry::noop();
+    let pool = Pool::new(jobs);
+    let ctx = Ctx::new(&quiet, &root).with_pool(&pool);
+    let h = ChannelMatrix::sound(&grid, &rxs, 15f64.to_radians(), &optics, &[], None, &ctx);
 
     let cfg = NlosConfig::default();
     let leader = Pose::ceiling(0.6, 0.6, room.height);
     let follower = Pose::ceiling(1.8, 1.4, room.height);
-    floor_bounce_gain_traced(&leader, &follower, 1.0, &optics, &room, &cfg, jobs, &root);
+    floor_bounce_gain(&leader, &follower, 1.0, &optics, &room, &cfg, &ctx);
     let rx = Pose::face_up(1.2, 1.0, 0.8);
-    wall_bounce_gain_traced(&leader, &rx, 1.0, &optics, &room, &cfg, jobs, &root);
+    wall_bounce_gain(&leader, &rx, 1.0, &optics, &room, &cfg, &ctx);
 
     let model = SystemModel::paper(h);
-    let quiet = Registry::noop();
-    let pool = Pool::new(jobs);
-    let ctx = Ctx::new(&quiet, &root).with_pool(&pool);
     heuristic_allocation(
         &model.channel,
         &LedParams::cree_xte_paper(),
