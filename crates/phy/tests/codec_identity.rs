@@ -10,6 +10,55 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vlc_phy::codec::{registry, CodecError, CodecStack};
+use vlc_phy::rs::{ReedSolomon, RsCodec, RsError};
+
+/// RS(216, 200) is RS(255, 239) shortened by 39 leading zero symbols.
+const RS_PAD: usize = 255 - 216;
+
+/// The two RS(216, 200) decoders: the scalar reference and the workspace.
+fn rs_decode(workspace: bool, block: &mut [u8]) -> Result<usize, RsError> {
+    if workspace {
+        RsCodec::paper().decode_in_place(block)
+    } else {
+        ReedSolomon::paper().decode(block)
+    }
+}
+
+/// A paper RS block of `data` with `n_err` byte errors at distinct seeded
+/// positions, next to its clean form.
+fn corrupted_rs_block(data: &[u8], n_err: usize, err_seed: u64) -> (Vec<u8>, Vec<u8>) {
+    let clean = ReedSolomon::paper().encode(data);
+    let mut received = clean.clone();
+    let mut rng = StdRng::seed_from_u64(err_seed);
+    let mut positions = std::collections::HashSet::new();
+    while positions.len() < n_err {
+        positions.insert(rng.gen_range(0..received.len()));
+    }
+    for &p in &positions {
+        received[p] ^= rng.gen_range(1..=255u8);
+    }
+    (clean, received)
+}
+
+/// Decodes `received` as RS(216, 200) and, behind `RS_PAD` zero bytes, as
+/// RS(255, 239): `(short block, short result, full block, full result)`.
+#[allow(clippy::type_complexity)]
+fn short_and_full(
+    workspace: bool,
+    received: &[u8],
+) -> (
+    Vec<u8>,
+    Result<usize, RsError>,
+    Vec<u8>,
+    Result<usize, RsError>,
+) {
+    let mut short = received.to_vec();
+    let short_res = rs_decode(workspace, &mut short);
+    let mut full = vec![0u8; RS_PAD];
+    full.extend_from_slice(received);
+    let full_res = rs_decode(workspace, &mut full);
+    (short, short_res, full, full_res)
+}
 
 /// Drives one stack's workspace and reference paths over the same corrupted
 /// stream and asserts they agree exactly, returning the shared outcome.
@@ -161,6 +210,49 @@ proptest! {
             let fresh_res = fresh.decode_into(&fresh_coded, second.len(), &mut fresh_out);
             prop_assert_eq!(warm, fresh_res, "stack {}", stack.name());
             prop_assert_eq!(&warm_out, &fresh_out, "stack {}", stack.name());
+        }
+    }
+
+    /// Within capacity (0–8 byte errors) the shortened decode is the
+    /// full-length RS(255, 239) decode of the zero-padded block: same
+    /// corrected bytes, same correction count, pad untouched — for the
+    /// scalar decoder and the workspace alike.
+    #[test]
+    fn shortened_rs_matches_its_full_length_form(
+        data in proptest::collection::vec(any::<u8>(), 200..=200),
+        err_seed in any::<u64>(),
+        n_err in 0usize..=8,
+    ) {
+        let (clean, received) = corrupted_rs_block(&data, n_err, err_seed);
+        for workspace in [false, true] {
+            let (short, short_res, full, full_res) = short_and_full(workspace, &received);
+            prop_assert_eq!(short_res, Ok(n_err), "workspace={}", workspace);
+            prop_assert_eq!(full_res, short_res, "workspace={}", workspace);
+            prop_assert_eq!(&full[RS_PAD..], &short[..], "workspace={}", workspace);
+            prop_assert!(full[..RS_PAD].iter().all(|&b| b == 0), "workspace={}", workspace);
+            prop_assert_eq!(&short, &clean, "workspace={}", workspace);
+        }
+    }
+
+    /// Beyond capacity (9–16 byte errors) the shortened decode rejects the
+    /// block whenever its full-length form fails or "corrects" a pad byte
+    /// (an error the shortened code cannot hold), and otherwise agrees
+    /// with it byte for byte.
+    #[test]
+    fn shortened_rs_rejects_what_its_full_length_form_cannot_place(
+        data in proptest::collection::vec(any::<u8>(), 200..=200),
+        err_seed in any::<u64>(),
+        n_err in 9usize..=16,
+    ) {
+        let (_, received) = corrupted_rs_block(&data, n_err, err_seed);
+        for workspace in [false, true] {
+            let (short, short_res, full, full_res) = short_and_full(workspace, &received);
+            if full_res.is_err() || full[..RS_PAD].iter().any(|&b| b != 0) {
+                prop_assert!(short_res.is_err(), "workspace={}: {:?}", workspace, short_res);
+            } else {
+                prop_assert_eq!(short_res, full_res, "workspace={}", workspace);
+                prop_assert_eq!(&full[RS_PAD..], &short[..], "workspace={}", workspace);
+            }
         }
     }
 }
