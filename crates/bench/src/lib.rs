@@ -1,10 +1,10 @@
 //! Shared plumbing for the DenseVLC benchmark harness.
 //!
 //! Each paper artifact (table or figure) has a binary under `src/bin/` that
-//! regenerates it and prints paper-comparable rows; the Criterion benches
-//! under `benches/` time the hot paths (allocators, PHY, channel) and run
-//! scaled-down experiment sweeps plus the design-choice ablations called
-//! out in `DESIGN.md`.
+//! regenerates it and prints paper-comparable rows, and the `ablations`
+//! binary prints the design-choice ablations called out in `DESIGN.md`.
+//! `run_all` times the experiments and the [`probes`] as span phases for
+//! `BENCH.json` and the `bench_gate` regression gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

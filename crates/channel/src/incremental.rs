@@ -52,8 +52,8 @@ pub struct ChannelUpdate {
 ///
 /// One updater tracks one deployment's TX grid and optics; feed it the
 /// receiver poses and blockers of each tick via
-/// [`ChannelUpdater::update_pooled`]
-/// and it returns the full matrices while recomputing only what changed.
+/// [`ChannelUpdater::update_pooled`] and it returns the full matrices while
+/// recomputing only what changed.
 #[derive(Debug, Clone)]
 pub struct ChannelUpdater {
     grid: TxGrid,
@@ -76,8 +76,8 @@ pub struct ChannelUpdater {
 }
 
 impl ChannelUpdater {
-    /// Creates an unprimed updater: the first [`Self::update_pooled`] recomputes
-    /// every column (all misses).
+    /// Creates an unprimed updater: the first [`Self::update_pooled`]
+    /// recomputes every column (all misses).
     ///
     /// `epsilon_m` is the movement tolerance: a receiver whose position
     /// stays within `epsilon_m` of the pose its column was last computed

@@ -330,10 +330,11 @@ fn run_scalar_instrumented(
 /// warmed pipeline runs frames (and ARQ retries) with **zero heap
 /// allocations** in steady state (`crates/densevlc/tests/e2e_identity.rs`
 /// pins this with a counting allocator). Its output is bit-identical to
-/// the scalar reference ([`run_scalar`], [`run_concurrent_scalar`]): identical RNG draw order, identical float
-/// summation order, identical slicing predicates — so [`E2eResult`]
-/// matches exactly, not just statistically (and the trait refactor is
-/// pinned against hard-coded pre-refactor values by
+/// the scalar reference ([`run_scalar`], [`run_concurrent_scalar`]):
+/// identical RNG draw order, identical float summation order, identical
+/// slicing predicates — so [`E2eResult`] matches exactly, not just
+/// statistically (and the trait refactor is pinned against hard-coded
+/// pre-refactor values by
 /// `pipeline_results_are_pinned_to_pre_codec_stack_values`).
 #[derive(Debug)]
 pub struct FramePipeline {
@@ -422,8 +423,8 @@ impl FramePipeline {
         );
     }
 
-    /// The packed twin of [`run_scalar`]: same RNG stream,
-    /// same physics, same telemetry counters, bit-identical [`E2eResult`] —
+    /// The packed twin of [`run_scalar`]: same RNG stream, same physics,
+    /// same telemetry counters, bit-identical [`E2eResult`] —
     /// but through reusable packed buffers. Packed encode work runs under
     /// the `phy.packed.encode_s` span, slice + Manchester decode under
     /// `phy.packed.decode_s`, and the Reed–Solomon block decode under

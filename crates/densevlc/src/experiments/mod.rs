@@ -5,7 +5,7 @@
 //! Every driver exposes a `run(...)` function returning a plain-data result
 //! struct with a `report()` method that prints the same rows/series the
 //! paper's artifact shows. The `vlc-bench` crate wires each driver to a
-//! binary and a Criterion bench.
+//! binary and times it as an `experiment.*` phase of `run_all`.
 
 pub mod complexity;
 pub mod ext_adaptation;

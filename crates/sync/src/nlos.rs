@@ -140,12 +140,11 @@ impl NlosSyncLink {
             span.attr("detected", &detection.detected.to_string());
             span.attr("snr", &format!("{:.6e}", detection.snr));
         }
-        let metrics = ctx.metrics;
-        metrics.gauge("sync.pilot_snr").set(detection.snr);
+        ctx.metrics.gauge("sync.pilot_snr").set(detection.snr);
         if detection.detected {
-            metrics.counter("sync.pilot_detections").inc();
+            ctx.metrics.counter("sync.pilot_detections").inc();
         } else {
-            metrics.counter("sync.pilot_misses").inc();
+            ctx.metrics.counter("sync.pilot_misses").inc();
         }
         detection
     }

@@ -48,25 +48,14 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
 fn channel_matrix_is_bitwise_identical_for_any_worker_count() {
     let (grid, rxs) = paper_setup();
     let optics = RxOptics::paper();
-    let reference = ChannelMatrix::sound(
-        &grid,
-        &rxs,
-        15f64.to_radians(),
-        &optics,
-        &[],
-        None,
-        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
-    );
+    let sound = |jobs| {
+        let pool = Pool::new(jobs);
+        let ctx = Ctx::noop().with_pool(&pool);
+        ChannelMatrix::sound(&grid, &rxs, 15f64.to_radians(), &optics, &[], None, &ctx)
+    };
+    let reference = sound(Jobs::serial());
     for jobs in job_grid() {
-        let h = ChannelMatrix::sound(
-            &grid,
-            &rxs,
-            15f64.to_radians(),
-            &optics,
-            &[],
-            None,
-            &Ctx::noop().with_pool(&Pool::new(jobs)),
-        );
+        let h = sound(jobs);
         assert_eq!(h.n_tx(), reference.n_tx());
         assert_eq!(h.n_rx(), reference.n_rx());
         for t in 0..h.n_tx() {
@@ -90,45 +79,19 @@ fn nlos_integrals_are_bitwise_identical_for_any_worker_count() {
     let follower = Pose::ceiling(1.8, 1.4, room.height);
     let rx = Pose::face_up(1.2, 1.0, 0.8);
 
-    let floor_ref = floor_bounce_gain(
-        &leader,
-        &follower,
-        1.0,
-        &optics,
-        &room,
-        &cfg,
-        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
-    );
-    let wall_ref = wall_bounce_gain(
-        &leader,
-        &rx,
-        1.0,
-        &optics,
-        &room,
-        &cfg,
-        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
-    );
+    let integrals = |jobs| {
+        let pool = Pool::new(jobs);
+        let ctx = Ctx::noop().with_pool(&pool);
+        (
+            floor_bounce_gain(&leader, &follower, 1.0, &optics, &room, &cfg, &ctx),
+            wall_bounce_gain(&leader, &rx, 1.0, &optics, &room, &cfg, &ctx),
+        )
+    };
+    let (floor_ref, wall_ref) = integrals(Jobs::serial());
     assert!(floor_ref > 0.0 && wall_ref > 0.0);
 
     for jobs in job_grid() {
-        let floor = floor_bounce_gain(
-            &leader,
-            &follower,
-            1.0,
-            &optics,
-            &room,
-            &cfg,
-            &Ctx::noop().with_pool(&Pool::new(jobs)),
-        );
-        let wall = wall_bounce_gain(
-            &leader,
-            &rx,
-            1.0,
-            &optics,
-            &room,
-            &cfg,
-            &Ctx::noop().with_pool(&Pool::new(jobs)),
-        );
+        let (floor, wall) = integrals(jobs);
         assert_eq!(
             floor.to_bits(),
             floor_ref.to_bits(),
@@ -145,6 +108,8 @@ fn nlos_integrals_are_bitwise_identical_for_any_worker_count() {
 #[test]
 fn optimal_solver_report_is_bitwise_identical_for_any_worker_count() {
     let (grid, rxs) = paper_setup();
+    let sequential = Pool::sequential();
+    let serial = Ctx::noop().with_pool(&sequential);
     let h = ChannelMatrix::sound(
         &grid,
         &rxs,
@@ -152,17 +117,12 @@ fn optimal_solver_report_is_bitwise_identical_for_any_worker_count() {
         &RxOptics::paper(),
         &[],
         None,
-        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
+        &serial,
     );
     let model = SystemModel::paper(h);
     let solver = OptimalSolver::quick();
 
-    let reference = solver.solve(
-        &model,
-        1.2,
-        None,
-        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
-    );
+    let reference = solver.solve(&model, 1.2, None, &serial);
     assert!(reference.objective.is_finite());
     for jobs in job_grid() {
         let report = solver.solve(&model, 1.2, None, &Ctx::noop().with_pool(&Pool::new(jobs)));
@@ -183,6 +143,8 @@ fn exhaustive_search_is_bitwise_identical_for_any_worker_count() {
     let room = Room::paper_simulation();
     let grid = TxGrid::centered(&room, 3, 2, 0.8);
     let rxs = vec![Pose::face_up(0.8, 0.9, 0.8), Pose::face_up(1.9, 1.5, 0.8)];
+    let sequential = Pool::sequential();
+    let serial = Ctx::noop().with_pool(&sequential);
     let h = ChannelMatrix::sound(
         &grid,
         &rxs,
@@ -190,16 +152,11 @@ fn exhaustive_search_is_bitwise_identical_for_any_worker_count() {
         &RxOptics::paper(),
         &[],
         None,
-        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
+        &serial,
     );
     let model = SystemModel::paper(h);
 
-    let reference = exhaustive_binary(
-        &model,
-        0.9,
-        1_000,
-        &Ctx::noop().with_pool(&Pool::new(Jobs::serial())),
-    );
+    let reference = exhaustive_binary(&model, 0.9, 1_000, &serial);
     for jobs in job_grid() {
         let result =
             exhaustive_binary(&model, 0.9, 1_000, &Ctx::noop().with_pool(&Pool::new(jobs)));
