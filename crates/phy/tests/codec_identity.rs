@@ -40,24 +40,18 @@ fn corrupted_rs_block(data: &[u8], n_err: usize, err_seed: u64) -> (Vec<u8>, Vec
     (clean, received)
 }
 
+/// A decoded block and the decoder's verdict.
+type Decoded = (Vec<u8>, Result<usize, RsError>);
+
 /// Decodes `received` as RS(216, 200) and, behind `RS_PAD` zero bytes, as
-/// RS(255, 239): `(short block, short result, full block, full result)`.
-#[allow(clippy::type_complexity)]
-fn short_and_full(
-    workspace: bool,
-    received: &[u8],
-) -> (
-    Vec<u8>,
-    Result<usize, RsError>,
-    Vec<u8>,
-    Result<usize, RsError>,
-) {
+/// RS(255, 239): `(short form, full form)`.
+fn short_and_full(workspace: bool, received: &[u8]) -> (Decoded, Decoded) {
     let mut short = received.to_vec();
     let short_res = rs_decode(workspace, &mut short);
     let mut full = vec![0u8; RS_PAD];
     full.extend_from_slice(received);
     let full_res = rs_decode(workspace, &mut full);
-    (short, short_res, full, full_res)
+    ((short, short_res), (full, full_res))
 }
 
 /// Drives one stack's workspace and reference paths over the same corrupted
@@ -225,7 +219,7 @@ proptest! {
     ) {
         let (clean, received) = corrupted_rs_block(&data, n_err, err_seed);
         for workspace in [false, true] {
-            let (short, short_res, full, full_res) = short_and_full(workspace, &received);
+            let ((short, short_res), (full, full_res)) = short_and_full(workspace, &received);
             prop_assert_eq!(short_res, Ok(n_err), "workspace={}", workspace);
             prop_assert_eq!(full_res, short_res, "workspace={}", workspace);
             prop_assert_eq!(&full[RS_PAD..], &short[..], "workspace={}", workspace);
@@ -246,7 +240,7 @@ proptest! {
     ) {
         let (_, received) = corrupted_rs_block(&data, n_err, err_seed);
         for workspace in [false, true] {
-            let (short, short_res, full, full_res) = short_and_full(workspace, &received);
+            let ((short, short_res), (full, full_res)) = short_and_full(workspace, &received);
             if full_res.is_err() || full[..RS_PAD].iter().any(|&b| b != 0) {
                 prop_assert!(short_res.is_err(), "workspace={}: {:?}", workspace, short_res);
             } else {
