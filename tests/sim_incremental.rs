@@ -604,3 +604,169 @@ span pin x1
 == exhaustive evaluated=19683 41479949beb67a94
 span pin x1
 ";
+
+/// The MAC planning entry points — a traced plan, a plan-cache miss then
+/// hit, an infeasible zero-budget plan, and a short heuristic building run
+/// — pinned the same way as the round entry points, plus any events.
+#[test]
+fn plan_entry_points_keep_counters_histogram_counts_and_span_names() {
+    use vlc_cell::{BuildingConfig, BuildingEngine, LoadGenConfig, ReplanPolicy};
+    use vlc_mac::{BeamspotPlan, Controller, ControllerConfig, PlanCache};
+    use vlc_par::{Jobs, Pool};
+    use vlc_telemetry::ManualClock;
+    use vlc_trace::Tracer;
+
+    // Pin the sequential path so the `par.*` counters are host independent.
+    std::env::set_var(vlc_par::JOBS_ENV, "1");
+    let mut got = String::new();
+    let mut section = |name: &str, f: &mut dyn FnMut(&Registry, &Span) -> String| {
+        let reg = Registry::new();
+        let tracer = Tracer::with_clock(ManualClock::new());
+        let root = tracer.root("pin");
+        let value = f(&reg, &root);
+        drop(root);
+        got.push_str(&format!("== {name} {value}\n"));
+        for event in &reg.snapshot().events {
+            got.push_str(&format!(
+                "event {}/{} {:?}\n",
+                event.target, event.kind, event.fields
+            ));
+        }
+        got.push_str(&round_fingerprint(&reg, &tracer));
+    };
+    let plan_digest = |plan: &BeamspotPlan| {
+        format!(
+            "spots={:?} {}",
+            plan.beamspots
+                .iter()
+                .map(|b| (b.rx, b.leader, b.txs.len()))
+                .collect::<Vec<_>>(),
+            bits_digest(plan.allocation.as_slice().iter().copied())
+        )
+    };
+
+    let channel = Deployment::scenario(Scenario::Two).model.channel;
+    let controller = |budget_w: f64| {
+        Controller::new(
+            ControllerConfig::paper(budget_w),
+            channel.n_tx(),
+            channel.n_rx(),
+        )
+    };
+
+    section("plan", &mut |reg, root| {
+        plan_digest(&controller(1.2).plan_traced(&channel, reg, root))
+    });
+    section("plan cache miss then hit", &mut |reg, root| {
+        let ctl = controller(1.2);
+        let mut cache = PlanCache::new();
+        let miss = ctl.plan_cached_traced(&channel, &mut cache, reg, root);
+        let hit = ctl.plan_cached_traced(&channel, &mut cache, reg, root);
+        assert_eq!(hit, miss);
+        plan_digest(&hit)
+    });
+    section("zero budget", &mut |reg, root| {
+        plan_digest(&controller(0.0).plan_traced(&channel, reg, root))
+    });
+    section("building", &mut |reg, root| {
+        let config = BuildingConfig::paper(3, 3);
+        assert_eq!(config.policy, ReplanPolicy::Heuristic);
+        let schedule = LoadGenConfig {
+            cols: 3,
+            rows: 3,
+            ticks: 60,
+            target_events: 900,
+            seed: 3,
+            mean_lifetime_ticks: 30,
+            move_period_ticks: 4,
+            step_m: 1.0,
+        }
+        .schedule();
+        let mut engine = BuildingEngine::new(&config, reg);
+        let pool = Pool::new(Jobs::serial()).with_telemetry(reg);
+        let mut bps = Vec::new();
+        let (mut replans, mut hits) = (0, 0);
+        for cmds in &schedule.per_tick {
+            for cmd in cmds {
+                engine.apply(cmd);
+            }
+            let report = engine.control_tick(&pool, root);
+            replans += report.replans;
+            hits += report.plan_hits;
+            bps.push(report.system_bps);
+        }
+        format!(
+            "events={} replans={replans} hits={hits} {}",
+            schedule.events,
+            bits_digest(bps)
+        )
+    });
+
+    assert_eq!(got, PLAN_FINGERPRINT, "\n{got}");
+}
+
+const PLAN_FINGERPRINT: &str = "\
+== plan spots=[(3, 22, 6), (2, 25, 4), (0, 7, 3), (1, 3, 3)] ff10795495041654
+counter mac.rounds_planned = 1
+histogram mac.allocate_s n=1
+histogram mac.plan_s n=1
+histogram mac.rank_s n=1
+span pin x1
+span pin/mac.plan x1
+span pin/mac.plan/mac.allocate x1
+span pin/mac.plan/mac.rank x1
+== plan cache miss then hit spots=[(3, 22, 6), (2, 25, 4), (0, 7, 3), (1, 3, 3)] ff10795495041654
+counter mac.plan.cache_hits = 1
+counter mac.plan.cache_misses = 1
+counter mac.rounds_planned = 1
+histogram mac.allocate_s n=1
+histogram mac.plan_s n=1
+histogram mac.rank_s n=1
+span pin x1
+span pin/mac.plan x1
+span pin/mac.plan.cached x1
+span pin/mac.plan/mac.allocate x1
+span pin/mac.plan/mac.rank x1
+== zero budget spots=[] 0000000000000000
+event mac.controller/infeasible_round [(\"budget_w\", \"0\")]
+counter mac.infeasible_rounds = 1
+counter mac.rounds_planned = 1
+histogram mac.allocate_s n=1
+histogram mac.plan_s n=1
+histogram mac.rank_s n=1
+span pin x1
+span pin/mac.plan x1
+span pin/mac.plan/mac.allocate x1
+span pin/mac.plan/mac.rank x1
+== building events=934 replans=438 hits=0 600dbcf6c81b2037
+counter cell.arrivals = 128
+counter cell.departures = 74
+counter cell.dirty_shards = 438
+counter cell.events = 934
+counter cell.handovers = 138
+counter cell.moves = 732
+counter cell.plan.hits = 0
+counter cell.replans = 438
+counter cell.ticks = 60
+counter channel.cache.hit = 759
+counter channel.cache.miss = 2167
+counter channel.cache.partial = 0
+counter channel.cache.updates = 438
+counter channel.fov.culled = 0
+counter channel.fov.live = 105336
+counter mac.plan.cache_misses = 438
+counter mac.rounds_planned = 438
+counter par.pool.created = 1
+histogram cell.tick_s n=60
+histogram mac.allocate_s n=438
+histogram mac.plan_s n=438
+histogram mac.rank_s n=438
+span pin x1
+span pin/cell.tick x60
+span pin/cell.tick/cell.replan x438
+span pin/cell.tick/cell.replan/channel.update x438
+span pin/cell.tick/cell.replan/channel.update/channel.update.col x2167
+span pin/cell.tick/cell.replan/mac.plan x438
+span pin/cell.tick/cell.replan/mac.plan/mac.allocate x438
+span pin/cell.tick/cell.replan/mac.plan/mac.rank x438
+";
