@@ -14,6 +14,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use vlc_phy::codec::RsStack;
 use vlc_phy::manchester::{manchester_decode, manchester_encode};
 use vlc_phy::packed::PackedChips;
 use vlc_phy::rs::RsCodec;
@@ -141,17 +142,16 @@ fn main() {
     });
 
     // Packed roundtrip through warmed reusable buffers.
-    let mut codec = RsCodec::paper();
+    let mut stack = RsStack::paper();
     let mut wire = Vec::new();
     let mut chips = PackedChips::new();
     let mut wave = Vec::new();
     let mut sliced = PackedChips::new();
     let mut rx_bytes = Vec::new();
-    let mut coded = Vec::new();
     let mut payload_rx = Vec::new();
     let mut packed_cycle = |payload: &[u8]| {
         wire.clear();
-        Frame::encode_parts_into(u64::MAX, &header, payload, &mut codec, &mut wire);
+        Frame::encode_parts_with(u64::MAX, &header, payload, &mut stack, &mut wire);
         chips.clear();
         chips.encode_bytes(&wire);
         let n_samples = (chips.len() as f64 * cfg.samples_per_chip()).ceil() as usize;
@@ -164,8 +164,7 @@ fn main() {
             &mut sliced
         ));
         assert!(sliced.decode_bytes_into(&mut rx_bytes));
-        Frame::decode_parts_into(&rx_bytes, &mut codec, &mut coded, &mut payload_rx)
-            .expect("clean frame");
+        Frame::decode_parts_with(&rx_bytes, &mut stack, &mut payload_rx).expect("clean frame");
     };
     packed_cycle(&payloads[0]);
     let packed_s = time_reps(opts.reps, || {
@@ -228,6 +227,8 @@ fn main() {
             assert!(chips.decode_bytes_into(&mut rx_bytes));
         }
     });
+    let mut codec = RsCodec::paper();
+    let mut coded = Vec::new();
     let rs_block_s = time_reps(opts.reps, || {
         for (f, payload) in payloads.iter().enumerate() {
             coded.clear();

@@ -83,7 +83,7 @@ pub struct TickReport {
     pub dirty_shards: u64,
     /// Visited shards that actually recomputed a plan.
     pub replans: u64,
-    /// Visited shards answered by the plan cache (channel unchanged).
+    /// Visited shards answered by their last plan (channel unchanged).
     pub plan_hits: u64,
     /// Live sessions after the tick.
     pub sessions: u64,

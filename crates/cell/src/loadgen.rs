@@ -142,7 +142,7 @@ pub struct DriveReport {
     pub sessions: u64,
     /// Shard replans performed.
     pub replans: u64,
-    /// Dirty visits answered by the plan cache.
+    /// Dirty visits answered by the shard's last plan.
     pub plan_hits: u64,
     /// Cross-room handovers.
     pub handovers: u64,

@@ -1,10 +1,11 @@
-//! One cell shard: a room's channel, plan cache, and MAC state.
+//! One cell shard: a room's channel, last plan, and MAC state.
 //!
 //! A [`CellShard`] owns everything needed to replan its room in
 //! isolation: the session roster (ids + local poses), the incremental
-//! [`ChannelUpdater`], the [`PlanCache`], the controller, and — under the
-//! optimal policy — the warm-start seed carried from the previous plan
-//! (and, on handover, from the source cell's allocation). Replans run on
+//! [`ChannelUpdater`], the controller, the last allocation (reused while
+//! the channel stays bitwise unchanged), and — under the optimal policy —
+//! the warm-start seed carried from the previous plan (and, on handover,
+//! from the source cell's allocation). Replans run on
 //! the shard's own *sequential* inner pool: the coordinator parallelises
 //! **across** shards, never inside one, so the per-shard computation is
 //! the exact `jobs = 1` code path regardless of `DENSEVLC_JOBS`.
@@ -18,7 +19,7 @@ use vlc_alloc::OptimalSolver;
 use vlc_channel::incremental::ChannelUpdater;
 use vlc_channel::{ChannelMatrix, NoiseParams, RxOptics};
 use vlc_geom::{Pose, TxGrid};
-use vlc_mac::controller::{Controller, ControllerConfig, PlanCache};
+use vlc_mac::controller::{Controller, ControllerConfig};
 use vlc_par::{Ctx, Pool};
 use vlc_telemetry::Registry;
 use vlc_trace::Span;
@@ -33,7 +34,7 @@ pub type SessionId = u64;
 pub struct ShardTick {
     /// Control tick the replan ran on.
     pub tick: u64,
-    /// `false` when the plan cache answered (channel bitwise unchanged).
+    /// `false` when the last plan answered (channel bitwise unchanged).
     pub replanned: bool,
     /// Session roster at replan time, in shard order.
     pub sessions: Vec<SessionId>,
@@ -41,12 +42,12 @@ pub struct ShardTick {
     pub bps: Vec<f64>,
 }
 
-/// What one [`CellShard::replan`] produced, for the coordinator's
-/// bookkeeping. `old_bps`/`new_bps` let the coordinator maintain the
-/// building throughput by delta in deterministic (cell-index) order.
+/// What one shard replan produced, for the coordinator's bookkeeping.
+/// `old_bps`/`new_bps` let the coordinator maintain the building
+/// throughput by delta in deterministic (cell-index) order.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplanOutcome {
-    /// `false` when the plan cache answered without recomputing.
+    /// `false` when the last plan answered without recomputing.
     pub replanned: bool,
     /// Shard throughput before the replan, bit/s.
     pub old_bps: f64,
@@ -64,7 +65,6 @@ pub struct CellShard {
     sessions: Vec<SessionId>,
     poses: Vec<Pose>,
     updater: ChannelUpdater,
-    cache: PlanCache,
     controller: Option<Controller>,
     /// Occupancy the controller was built for (it is shape-bound).
     controller_rx: usize,
@@ -107,7 +107,6 @@ impl CellShard {
             sessions: Vec::new(),
             poses: Vec::new(),
             updater: ChannelUpdater::new(grid, half_power_semi_angle, optics, 0.0),
-            cache: PlanCache::new(),
             controller: None,
             controller_rx: 0,
             model,
@@ -225,7 +224,6 @@ impl CellShard {
         if self.sessions.is_empty() {
             self.bps.clear();
             self.sum_bps = 0.0;
-            self.cache.invalidate();
             self.controller = None;
             self.warm = None;
             self.last_alloc = None;
@@ -250,7 +248,7 @@ impl CellShard {
         let changed = update.matrix != self.model.channel;
         self.model.channel = update.matrix;
         // An identical channel means the previous plan is still the answer
-        // (planning is a pure function of the channel) — the cache-hit
+        // (planning is a pure function of the channel) — the plan-hit
         // path of the control plane.
         let hit = !changed && self.last_alloc.is_some();
         if !hit {
@@ -258,13 +256,9 @@ impl CellShard {
                 ReplanPolicy::Heuristic => {
                     self.ensure_controller();
                     let controller = self.controller.as_ref().expect("just ensured");
-                    let plan = controller.plan_cached_traced(
-                        &self.model.channel,
-                        &mut self.cache,
-                        telemetry,
-                        parent,
-                    );
-                    plan.allocation
+                    controller
+                        .plan(&self.model.channel, None, telemetry, parent)
+                        .allocation
                 }
                 ReplanPolicy::Optimal(solver) => self.solve_optimal(solver, telemetry, parent),
             };

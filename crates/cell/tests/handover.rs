@@ -100,7 +100,7 @@ fn handover_timeline_matches_a_cold_resolve_in_the_destination() {
     let cfg = BuildingConfig::paper(2, 1);
     let model = destination_model(&cfg);
     let controller = Controller::new(ControllerConfig::paper(cfg.budget_w), model.n_tx(), 2);
-    let plan = controller.plan(&model.channel);
+    let plan = controller.plan(&model.channel, None, &Registry::noop(), &Span::noop());
     let cold_bps = model.throughput(&plan.allocation);
 
     let last = engine.shard(1).timeline().last().expect("dest replanned");

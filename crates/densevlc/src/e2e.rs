@@ -116,8 +116,8 @@ pub struct E2eResult {
 /// Runs `frames` joint transmissions of a fresh random payload each and
 /// reports PER and goodput.
 ///
-/// Frame encode/decode counters flow into `ctx.metrics` through the
-/// instrumented PHY codec (`phy.frames_encoded`, `phy.frames_decoded`,
+/// Frame encode/decode counters flow into `ctx.metrics`
+/// (`phy.frames_encoded`, `phy.frames_decoded`,
 /// `phy.rs_symbols_corrected`, `phy.rs_uncorrectable`,
 /// `phy.frame_sync_errors`); failures to even reach the decoder count into
 /// `phy.preamble_misses` (correlator never locks) or `phy.frame_sync_errors`
@@ -186,8 +186,8 @@ fn run_scalar_instrumented(
     // the paper's unsynchronized 4-TX row receives *zero* packets. The RX
     // locks onto the earliest copy, so phases are taken relative to the
     // earliest host.
-    let chips_per_frame =
-        (Frame::wire_len(cfg.payload_len, &rs) + PREAMBLE_BYTES.len()) as f64 * 16.0;
+    let wire_len = Frame::wire_len_with(cfg.payload_len, &RsStack::paper());
+    let chips_per_frame = (wire_len + PREAMBLE_BYTES.len()) as f64 * 16.0;
     let frame_duration_s = chips_per_frame / cfg.symbol_rate_hz;
     let loop_phase: Vec<(usize, f64)> = if matches!(scheme, SyncScheme::SyncOff) && hosts.len() > 1
     {
@@ -220,7 +220,8 @@ fn run_scalar_instrumented(
             },
             payload.clone(),
         );
-        let bytes = frame.to_bytes_instrumented(&rs, telemetry);
+        telemetry.counter("phy.frames_encoded").inc();
+        let bytes = frame.to_bytes(&rs);
         let mut chips: Vec<Chip> = preamble_chips.clone();
         chips.extend(manchester_encode(&bytes));
         let spc = wave_cfg.samples_per_chip();
@@ -296,15 +297,11 @@ fn run_scalar_instrumented(
             telemetry.counter("phy.frame_sync_errors").inc();
             continue;
         };
-        match Frame::from_bytes_instrumented(&decoded_bytes, &rs, telemetry) {
-            Ok((decoded, fixed)) if decoded.payload == payload => {
-                frames_ok += 1;
-                rs_corrections += fixed;
-            }
-            Ok(_) => {
-                telemetry.counter("phy.frames_bad_payload").inc();
-            }
-            Err(_) => {}
+        let parsed = Frame::from_bytes(&decoded_bytes, &rs)
+            .map(|(decoded, fixed)| (fixed, decoded.payload == payload));
+        if let Some(fixed) = count_decode(parsed, telemetry) {
+            frames_ok += 1;
+            rs_corrections += fixed;
         }
         let _ = seq;
     }
@@ -318,6 +315,38 @@ fn run_scalar_instrumented(
         goodput_bps: payload_bits / total_time_s,
         rs_corrections,
     }
+}
+
+/// Counts one frame parse — `(corrected, payload intact)` or the parse
+/// error — into the decode-outcome telemetry shared by [`run_scalar`] and
+/// [`FramePipeline::run`]: a parsed frame into `phy.frames_decoded` and
+/// its repaired bytes into `phy.rs_symbols_corrected` (plus
+/// `phy.frames_bad_payload` when the payload differs from the sent one); a
+/// Reed–Solomon failure into `phy.rs_uncorrectable` plus an
+/// `rs_uncorrectable` event; any other parse failure — bad SFD,
+/// truncation, length mismatch — into `phy.frame_sync_errors`. Returns the
+/// corrections of a frame delivered intact.
+fn count_decode(parsed: Result<(usize, bool), FrameError>, telemetry: &Registry) -> Option<usize> {
+    match parsed {
+        Ok((fixed, intact)) => {
+            telemetry.counter("phy.frames_decoded").inc();
+            telemetry
+                .counter("phy.rs_symbols_corrected")
+                .add(fixed as u64);
+            if intact {
+                return Some(fixed);
+            }
+            telemetry.counter("phy.frames_bad_payload").inc();
+        }
+        Err(FrameError::Uncorrectable) => {
+            telemetry.counter("phy.rs_uncorrectable").inc();
+            telemetry.event("phy.frame", "rs_uncorrectable", &[]);
+        }
+        Err(_) => {
+            telemetry.counter("phy.frame_sync_errors").inc();
+        }
+    }
+    None
 }
 
 /// The packed-chip fast path through the end-to-end simulation.
@@ -586,26 +615,10 @@ impl FramePipeline {
                 let _rs_block = telemetry.span("phy.rs.block_s");
                 Frame::decode_parts_with(rx_bytes, stack, payload_rx)
             };
-            match parsed {
-                Ok((_, _, fixed)) => {
-                    telemetry.counter("phy.frames_decoded").inc();
-                    telemetry
-                        .counter("phy.rs_symbols_corrected")
-                        .add(fixed as u64);
-                    if payload_rx == payload {
-                        frames_ok += 1;
-                        rs_corrections += fixed;
-                    } else {
-                        telemetry.counter("phy.frames_bad_payload").inc();
-                    }
-                }
-                Err(FrameError::Uncorrectable) => {
-                    telemetry.counter("phy.rs_uncorrectable").inc();
-                    telemetry.event("phy.frame", "rs_uncorrectable", &[]);
-                }
-                Err(_) => {
-                    telemetry.counter("phy.frame_sync_errors").inc();
-                }
+            let parsed = parsed.map(|(_, _, fixed)| (fixed, payload_rx == payload));
+            if let Some(fixed) = count_decode(parsed, telemetry) {
+                frames_ok += 1;
+                rs_corrections += fixed;
             }
         }
 
@@ -839,9 +852,8 @@ pub fn run_with_arq(
     let mut attempts = 0usize;
     let mut time_s = 0.0;
     // Frame air time (guard + chips + guard) matches `run`'s accounting.
-    let rs = ReedSolomon::paper();
-    let chips_per_frame =
-        (Frame::wire_len(cfg.payload_len, &rs) + PREAMBLE_BYTES.len()) as f64 * 16.0;
+    let wire_len = Frame::wire_len_with(cfg.payload_len, &RsStack::paper());
+    let chips_per_frame = (wire_len + PREAMBLE_BYTES.len()) as f64 * 16.0;
     let spc = cfg.sample_rate_hz / cfg.symbol_rate_hz;
     let air_s = ((8.0 * spc) * 2.0 + chips_per_frame * spc).ceil() / cfg.sample_rate_hz;
 
@@ -1059,6 +1071,7 @@ pub fn run_concurrent_scalar(
 mod tests {
     use super::*;
     use vlc_testbed::{BbbHostMap, Deployment};
+    use vlc_trace::Span;
 
     /// The §8.1 geometry: one RX centered between TX2, TX3, TX8, TX9.
     fn table5_setup() -> (Vec<f64>, BbbHostMap) {
@@ -1320,7 +1333,7 @@ mod tests {
 
         let d = Deployment::scenario(Scenario::Two);
         let controller = Controller::new(ControllerConfig::paper(1.2), 36, 4);
-        let plan = controller.plan(&d.model.channel);
+        let plan = controller.plan(&d.model.channel, None, &Registry::noop(), &Span::noop());
         let beamspots: Vec<E2eBeamspot> = plan
             .beamspots
             .iter()
@@ -1351,7 +1364,7 @@ mod tests {
 
         let d = Deployment::scenario(Scenario::Three);
         let controller = Controller::new(ControllerConfig::paper(0.6), 36, 4);
-        let plan = controller.plan(&d.model.channel);
+        let plan = controller.plan(&d.model.channel, None, &Registry::noop(), &Span::noop());
         let mut beamspots: Vec<E2eBeamspot> = plan
             .beamspots
             .iter()
@@ -1437,7 +1450,7 @@ mod tests {
 
         let d = Deployment::scenario(Scenario::Two);
         let controller = Controller::new(ControllerConfig::paper(1.2), 36, 4);
-        let plan = controller.plan(&d.model.channel);
+        let plan = controller.plan(&d.model.channel, None, &Registry::noop(), &Span::noop());
         let beamspots: Vec<E2eBeamspot> = plan
             .beamspots
             .iter()

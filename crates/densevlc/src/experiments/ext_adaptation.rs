@@ -15,7 +15,9 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vlc_geom::Pose;
 use vlc_mac::{simulate_round, EthernetMulticast, PilotSchedule, WifiUplink};
+use vlc_telemetry::Registry;
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Span;
 
 /// One (speed, decision-time) cell of the study.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -56,12 +58,15 @@ pub fn run(speeds_mps: &[f64], decision_times_s: &[f64], seed: u64) -> ExtAdapta
             let mut deployment = Deployment::scenario(Scenario::Two);
             let controller =
                 vlc_mac::Controller::new(vlc_mac::ControllerConfig::paper(budget_w), 36, 4);
+            let plan_on = |d: &Deployment| {
+                controller.plan(&d.model.channel, None, &Registry::noop(), &Span::noop())
+            };
 
             // RX1 walks from (0.6, 0.9) to (2.6, 0.9): 2 m.
             let path_len = 2.0;
             let steps = 100usize;
             let dt = path_len / speed_mps / steps as f64;
-            let mut plan = controller.plan(&deployment.model.channel);
+            let mut plan = plan_on(&deployment);
             let mut since_replan = 0.0;
             let mut got = 0.0;
             let mut oracle = 0.0;
@@ -76,10 +81,10 @@ pub fn run(speeds_mps: &[f64], decision_times_s: &[f64], seed: u64) -> ExtAdapta
                 deployment.update_receivers(rxs);
                 since_replan += dt;
                 if since_replan >= round_s {
-                    plan = controller.plan(&deployment.model.channel);
+                    plan = plan_on(&deployment);
                     since_replan = 0.0;
                 }
-                let fresh = controller.plan(&deployment.model.channel);
+                let fresh = plan_on(&deployment);
                 got += deployment.model.throughput(&plan.allocation)[0];
                 oracle += deployment.model.throughput(&fresh.allocation)[0];
             }

@@ -10,7 +10,9 @@
 use crate::e2e::{run_concurrent, E2eBeamspot, E2eConfig, E2eResult};
 use serde::{Deserialize, Serialize};
 use vlc_mac::{Controller, ControllerConfig};
+use vlc_telemetry::Registry;
 use vlc_testbed::{Deployment, Scenario};
+use vlc_trace::Span;
 
 /// Per-receiver outcome of the concurrent run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,7 +45,7 @@ pub fn run(scenario: Scenario, budget_w: f64, frames: usize, seed: u64) -> ExtCo
         d.grid.len(),
         d.receivers.len(),
     );
-    let plan = controller.plan(&d.model.channel);
+    let plan = controller.plan(&d.model.channel, None, &Registry::noop(), &Span::noop());
     let beamspots: Vec<E2eBeamspot> = plan
         .beamspots
         .iter()

@@ -303,17 +303,12 @@ impl Simulation {
             self.time_since_replan_s += self.tick_s;
             let mut replanned = false;
             if self.time_since_replan_s >= self.adaptation_period_s || self.plan.is_none() {
-                self.plan = Some(if incremental {
-                    self.controller.plan_cached_traced(
-                        &world.channel,
-                        &mut plan_cache,
-                        telemetry,
-                        &tick_trace,
-                    )
-                } else {
-                    self.controller
-                        .plan_traced(&world.channel, telemetry, &tick_trace)
-                });
+                self.plan = Some(self.controller.plan(
+                    &world.channel,
+                    incremental.then_some(&mut plan_cache),
+                    telemetry,
+                    &tick_trace,
+                ));
                 self.time_since_replan_s = 0.0;
                 replanned = true;
                 telemetry.counter("mac.replans").inc();

@@ -58,7 +58,7 @@ impl System {
         let _adapt_span = ctx.metrics.span("sim.adapt_s");
         let plan = self
             .controller
-            .plan_traced(&self.deployment.model.channel, ctx.metrics, &adapt);
+            .plan(&self.deployment.model.channel, None, ctx.metrics, &adapt);
         let per_rx_bps = self.deployment.model.throughput(&plan.allocation);
         let round = AdaptationRound {
             power_w: self.deployment.model.comm_power(&plan.allocation),

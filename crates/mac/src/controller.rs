@@ -105,14 +105,6 @@ impl Controller {
     /// # Panics
     /// Panics if the report's shape doesn't match the deployment.
     pub fn ingest_report(&mut self, report: ChannelReport) {
-        self.ingest_report_instrumented(report, &Registry::noop());
-    }
-
-    /// [`Self::ingest_report`] with telemetry: ingest time into the
-    /// `mac.ingest_s` histogram and a `mac.reports_ingested` count.
-    pub fn ingest_report_instrumented(&mut self, report: ChannelReport, telemetry: &Registry) {
-        let _ingest_span = telemetry.span("mac.ingest_s");
-        telemetry.counter("mac.reports_ingested").inc();
         assert!(report.rx < self.n_rx, "unknown RX {}", report.rx);
         assert_eq!(
             report.snr_per_tx.len(),
@@ -133,17 +125,6 @@ impl Controller {
     /// Rebuilds the estimated channel matrix from the latest reports.
     /// Unreported receivers contribute zero gains.
     pub fn estimated_channel(&self, amp_per_gain_over_noise: f64) -> ChannelMatrix {
-        self.estimated_channel_instrumented(amp_per_gain_over_noise, &Registry::noop())
-    }
-
-    /// [`Self::estimated_channel`] with telemetry: estimation time into the
-    /// `mac.estimate_s` histogram.
-    pub fn estimated_channel_instrumented(
-        &self,
-        amp_per_gain_over_noise: f64,
-        telemetry: &Registry,
-    ) -> ChannelMatrix {
-        let _estimate_span = telemetry.span("mac.estimate_s");
         let mut gains = vec![0.0; self.n_tx * self.n_rx];
         for (rx, report) in self.reports.iter().enumerate() {
             if let Some(rep) = report {
@@ -162,29 +143,45 @@ impl Controller {
     /// Runs the decision logic on a channel matrix, producing the beamspot
     /// plan (paper §7.2 "Decision logic": `Isw ∈ {0, Isw,max}` per TX based
     /// on the ranking).
-    pub fn plan(&self, channel: &ChannelMatrix) -> BeamspotPlan {
-        self.plan_instrumented(channel, &Registry::noop())
-    }
-
-    /// [`Self::plan`] with telemetry: total plan time into the `mac.plan_s`
-    /// histogram with the ranking and allocation phases broken out
-    /// (`mac.rank_s`, `mac.allocate_s`), a `mac.rounds_planned` count, and —
-    /// when the budget serves no receiver — a `mac.infeasible_rounds` count
-    /// plus an `infeasible_round` event.
-    pub fn plan_instrumented(&self, channel: &ChannelMatrix, telemetry: &Registry) -> BeamspotPlan {
-        self.plan_traced(channel, telemetry, &Span::noop())
-    }
-
-    /// [`Self::plan_instrumented`] recording a `mac.plan` span under
-    /// `parent`, with `mac.rank` and `mac.allocate` children for the two
-    /// decision phases. With a noop parent this is the instrumented path
-    /// plus one branch per span site.
-    pub fn plan_traced(
+    ///
+    /// With a [`PlanCache`], a channel bitwise equal to the cached one
+    /// returns the previous plan without re-ranking: the hit bumps
+    /// `mac.plan.cache_hits` and records a `mac.plan.cached` span under
+    /// `parent`; a miss bumps `mac.plan.cache_misses` and plans.
+    ///
+    /// Telemetry: total plan time into the `mac.plan_s` histogram with the
+    /// ranking and allocation phases broken out (`mac.rank_s`,
+    /// `mac.allocate_s`), a `mac.rounds_planned` count, and — when the
+    /// budget serves no receiver — a `mac.infeasible_rounds` count plus an
+    /// `infeasible_round` event. Tracing: a `mac.plan` span under `parent`
+    /// with `mac.rank` and `mac.allocate` children. `Registry::noop()` and
+    /// `Span::noop()` record nothing.
+    pub fn plan(
         &self,
         channel: &ChannelMatrix,
+        cache: Option<&mut PlanCache>,
         telemetry: &Registry,
         parent: &Span,
     ) -> BeamspotPlan {
+        let Some(cache) = cache else {
+            return self.decide(channel, telemetry, parent);
+        };
+        if let Some((cached_channel, plan)) = &cache.last {
+            if cached_channel == channel {
+                telemetry.counter("mac.plan.cache_hits").inc();
+                let span = parent.child("mac.plan.cached");
+                span.attr("beamspots", &plan.beamspots.len().to_string());
+                return plan.clone();
+            }
+        }
+        telemetry.counter("mac.plan.cache_misses").inc();
+        let plan = self.decide(channel, telemetry, parent);
+        cache.last = Some((channel.clone(), plan.clone()));
+        plan
+    }
+
+    /// The decision logic behind [`Self::plan`]: rank, allocate, group.
+    fn decide(&self, channel: &ChannelMatrix, telemetry: &Registry, parent: &Span) -> BeamspotPlan {
         assert_eq!(channel.n_tx(), self.n_tx);
         assert_eq!(channel.n_rx(), self.n_rx);
         let plan_trace = parent.child("mac.plan");
@@ -238,39 +235,9 @@ impl Controller {
             allocation,
         }
     }
-
-    /// [`Self::plan`] through a [`PlanCache`]: an unchanged channel returns
-    /// the previous plan without re-ranking.
-    pub fn plan_cached(&self, channel: &ChannelMatrix, cache: &mut PlanCache) -> BeamspotPlan {
-        self.plan_cached_traced(channel, cache, &Registry::noop(), &Span::noop())
-    }
-
-    /// [`Self::plan_cached`] with telemetry and tracing. A hit bumps
-    /// `mac.plan.cache_hits` and records a `mac.plan.cached` span; a miss
-    /// bumps `mac.plan.cache_misses` and runs [`Self::plan_traced`].
-    pub fn plan_cached_traced(
-        &self,
-        channel: &ChannelMatrix,
-        cache: &mut PlanCache,
-        telemetry: &Registry,
-        parent: &Span,
-    ) -> BeamspotPlan {
-        if let Some((cached_channel, plan)) = &cache.last {
-            if cached_channel == channel {
-                telemetry.counter("mac.plan.cache_hits").inc();
-                let span = parent.child("mac.plan.cached");
-                span.attr("beamspots", &plan.beamspots.len().to_string());
-                return plan.clone();
-            }
-        }
-        telemetry.counter("mac.plan.cache_misses").inc();
-        let plan = self.plan_traced(channel, telemetry, parent);
-        cache.last = Some((channel.clone(), plan.clone()));
-        plan
-    }
 }
 
-/// Tick-to-tick plan cache for [`Controller::plan_cached`].
+/// Tick-to-tick plan cache for [`Controller::plan`].
 ///
 /// Remembers the exact channel matrix the last plan was computed on; the
 /// decision logic is a pure function of the channel (and the static
@@ -287,16 +254,6 @@ impl PlanCache {
     /// An empty cache: the first plan is a miss.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether the cache holds a previous plan.
-    pub fn is_warm(&self) -> bool {
-        self.last.is_some()
-    }
-
-    /// Drops the cached plan; the next one recomputes.
-    pub fn invalidate(&mut self) {
-        self.last = None;
     }
 }
 
@@ -323,10 +280,15 @@ mod tests {
         Controller::new(ControllerConfig::paper(budget_w), 36, 4)
     }
 
+    /// An uncached, unobserved plan.
+    fn plain_plan(ctl: &Controller, channel: &ChannelMatrix) -> BeamspotPlan {
+        ctl.plan(channel, None, &Registry::noop(), &Span::noop())
+    }
+
     #[test]
     fn plan_groups_txs_into_beamspots_with_leaders() {
         let ctl = controller(1.2);
-        let plan = ctl.plan(&channel());
+        let plan = plain_plan(&ctl, &channel());
         assert!(!plan.beamspots.is_empty());
         for spot in &plan.beamspots {
             assert_eq!(spot.leader, spot.txs[0], "leader is the best-ranked TX");
@@ -341,7 +303,7 @@ mod tests {
     #[test]
     fn plan_respects_power_budget() {
         let ctl = controller(0.5);
-        let plan = ctl.plan(&channel());
+        let plan = plain_plan(&ctl, &channel());
         let led = LedParams::cree_xte_paper();
         let r = dynamic_resistance(&led);
         let power: f64 = (0..36)
@@ -355,7 +317,7 @@ mod tests {
     #[test]
     fn beamspots_are_disjoint() {
         let ctl = controller(2.0);
-        let plan = ctl.plan(&channel());
+        let plan = plain_plan(&ctl, &channel());
         let txs = plan.active_txs();
         let mut dedup = txs.clone();
         dedup.dedup();
@@ -366,7 +328,7 @@ mod tests {
     fn zero_budget_plan_is_counted_infeasible() {
         let ctl = controller(0.0);
         let telemetry = Registry::new();
-        let plan = ctl.plan_instrumented(&channel(), &telemetry);
+        let plan = ctl.plan(&channel(), None, &telemetry, &Span::noop());
         assert!(plan.beamspots.is_empty());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("mac.infeasible_rounds"), Some(1));
@@ -386,7 +348,7 @@ mod tests {
     fn feasible_plan_records_phases_without_infeasible_signal() {
         let ctl = controller(1.2);
         let telemetry = Registry::new();
-        let plan = ctl.plan_instrumented(&channel(), &telemetry);
+        let plan = ctl.plan(&channel(), None, &telemetry, &Span::noop());
         assert!(!plan.beamspots.is_empty());
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("mac.infeasible_rounds"), None);
@@ -407,7 +369,7 @@ mod tests {
         let ctl = controller(1.2);
         let tracer = Tracer::with_clock(ManualClock::new());
         let root = tracer.root("round");
-        ctl.plan_traced(&channel(), &Registry::noop(), &root);
+        ctl.plan(&channel(), None, &Registry::noop(), &root);
         drop(root);
         let snap = tracer.snapshot();
         let plan = snap.find("mac.plan").expect("plan span recorded");
@@ -425,7 +387,7 @@ mod tests {
         let ctl = controller(1.2);
         // The default path: noop registry and noop parent span. Nothing
         // may be recorded anywhere — this is the zero-cost opt-out.
-        let plan = ctl.plan_instrumented(&channel(), &Registry::noop());
+        let plan = plain_plan(&ctl, &channel());
         assert!(!plan.beamspots.is_empty());
     }
 
@@ -445,8 +407,8 @@ mod tests {
         }
         assert!(ctl.all_reported());
         let est = ctl.estimated_channel(cal);
-        let plan_est = ctl.plan(&est);
-        let plan_true = ctl.plan(&ch);
+        let plan_est = plain_plan(&ctl, &est);
+        let plan_true = plain_plan(&ctl, &ch);
         assert_eq!(plan_est.active_txs(), plan_true.active_txs());
     }
 
@@ -465,7 +427,7 @@ mod tests {
         }
         assert!(!ctl.all_reported());
         let est = ctl.estimated_channel(cal);
-        let plan = ctl.plan(&est);
+        let plan = plain_plan(&ctl, &est);
         assert!(
             plan.beamspot_for(3).is_none(),
             "unreported RX must not be served"
@@ -475,7 +437,7 @@ mod tests {
     #[test]
     fn beamspot_lookup() {
         let ctl = controller(1.2);
-        let plan = ctl.plan(&channel());
+        let plan = plain_plan(&ctl, &channel());
         for spot in &plan.beamspots {
             assert_eq!(plan.beamspot_for(spot.rx).expect("present").rx, spot.rx);
         }
@@ -488,32 +450,21 @@ mod tests {
         let ch = channel();
         let telemetry = Registry::new();
         let mut cache = PlanCache::new();
-        let first = ctl.plan_cached_traced(&ch, &mut cache, &telemetry, &Span::noop());
-        let second = ctl.plan_cached_traced(&ch, &mut cache, &telemetry, &Span::noop());
+        let first = ctl.plan(&ch, Some(&mut cache), &telemetry, &Span::noop());
+        let second = ctl.plan(&ch, Some(&mut cache), &telemetry, &Span::noop());
         assert_eq!(second, first, "hit returns the identical plan");
-        assert_eq!(second, ctl.plan(&ch), "and it matches an uncached plan");
+        assert_eq!(
+            second,
+            plain_plan(&ctl, &ch),
+            "and it matches an uncached plan"
+        );
         let moved = ch.map(|g| g * 0.99);
-        let third = ctl.plan_cached_traced(&moved, &mut cache, &telemetry, &Span::noop());
-        assert_eq!(third, ctl.plan(&moved));
+        let third = ctl.plan(&moved, Some(&mut cache), &telemetry, &Span::noop());
+        assert_eq!(third, plain_plan(&ctl, &moved));
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("mac.plan.cache_hits"), Some(1));
         assert_eq!(snap.counter("mac.plan.cache_misses"), Some(2));
         assert_eq!(snap.counter("mac.rounds_planned"), Some(2));
-    }
-
-    #[test]
-    fn plan_cache_invalidation_forces_a_miss() {
-        let ctl = controller(1.2);
-        let ch = channel();
-        let mut cache = PlanCache::new();
-        ctl.plan_cached(&ch, &mut cache);
-        assert!(cache.is_warm());
-        cache.invalidate();
-        assert!(!cache.is_warm());
-        let telemetry = Registry::new();
-        ctl.plan_cached_traced(&ch, &mut cache, &telemetry, &Span::noop());
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("mac.plan.cache_misses"), Some(1));
     }
 
     #[test]

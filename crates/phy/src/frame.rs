@@ -7,11 +7,10 @@
 //! portion — SFD (1 B), Length (2 B), Dst (2 B), Src (2 B), Protocol (2 B),
 //! the payload, and `⌈x/200⌉ × 16` Reed–Solomon parity bytes.
 
-use crate::codec::{CodecError, CodecStack, Correction};
-use crate::rs::{ReedSolomon, RsCodec, RsError};
+use crate::codec::{CodecError, CodecStack};
+use crate::rs::{ReedSolomon, RsError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use vlc_telemetry::Registry;
 
 /// Start-of-frame delimiter value.
 pub const SFD: u8 = 0x7E;
@@ -136,66 +135,44 @@ impl Frame {
         mask
     }
 
+    /// Byte offset of the coded payload region: the 8-byte TX mask, then
+    /// the [`SFD`] byte and the Length, Dst, Src and Protocol fields.
+    pub const FIXED_LEN: usize = 8 + 1 + 2 + 2 + 2 + 2;
+
     /// Serializes the MAC portion (from SFD; the pilot and preamble are
     /// waveform-level and prepended by the modulator): SFD, Length, Dst,
-    /// Src, Protocol, RS-coded payload.
+    /// Src, Protocol, RS-coded payload. The scalar oracle of
+    /// [`Frame::encode_parts_with`].
     pub fn to_bytes(&self, rs: &ReedSolomon) -> Vec<u8> {
         let coded = rs.encode_payload(&self.payload);
-        let mut out = Vec::with_capacity(17 + coded.len());
-        out.extend_from_slice(&self.tx_id_mask.to_be_bytes());
-        out.push(SFD);
-        out.extend_from_slice(&(self.payload.len() as u16).to_be_bytes());
-        out.extend_from_slice(&self.header.dst.to_be_bytes());
-        out.extend_from_slice(&self.header.src.to_be_bytes());
-        out.extend_from_slice(&self.header.protocol.to_be_bytes());
+        let mut out = Vec::with_capacity(Self::FIXED_LEN + coded.len());
+        write_fixed(self.tx_id_mask, &self.header, self.payload.len(), &mut out);
         out.extend_from_slice(&coded);
         out
     }
 
     /// Parses and error-corrects a byte stream produced by
     /// [`Frame::to_bytes`]. Returns the frame and the number of RS-corrected
-    /// byte errors.
+    /// byte errors. The scalar oracle of [`Frame::decode_parts_with`].
     pub fn from_bytes(bytes: &[u8], rs: &ReedSolomon) -> Result<(Frame, usize), FrameError> {
-        const FIXED: usize = 8 + 1 + 2 + 2 + 2 + 2;
-        if bytes.len() < FIXED {
-            return Err(FrameError::Truncated);
-        }
-        let tx_id_mask = u64::from_be_bytes(bytes[0..8].try_into().expect("8 bytes"));
-        if bytes[8] != SFD {
-            return Err(FrameError::BadSfd { found: bytes[8] });
-        }
-        let payload_len = u16::from_be_bytes([bytes[9], bytes[10]]) as usize;
-        let dst = u16::from_be_bytes([bytes[11], bytes[12]]);
-        let src = u16::from_be_bytes([bytes[13], bytes[14]]);
-        let protocol = u16::from_be_bytes([bytes[15], bytes[16]]);
+        let (tx_id_mask, header, payload_len) = parse_fixed(bytes)?;
         let n_chunks = payload_len.div_ceil(crate::rs::PAPER_CHUNK);
-        let coded_len = payload_len + n_chunks * rs.parity_len();
-        let available = bytes.len() - FIXED;
-        if available != coded_len {
-            return Err(FrameError::LengthMismatch {
-                declared: coded_len,
-                available,
-            });
-        }
-        let mut coded = bytes[FIXED..].to_vec();
+        let mut coded = coded_region(bytes, payload_len + n_chunks * rs.parity_len())?.to_vec();
         let (payload, corrected) = rs.decode_payload(&mut coded, payload_len)?;
         Ok((
             Frame {
                 tx_id_mask,
-                header: FrameHeader { dst, src, protocol },
+                header,
                 payload,
             },
             corrected,
         ))
     }
 
-    /// Byte offset of the RS-coded payload region ([`SFD`] byte and header
-    /// fields precede it; the 8-byte TX mask comes first).
-    pub const FIXED_LEN: usize = 8 + 1 + 2 + 2 + 2 + 2;
-
     /// Serializes a frame's parts into `out` (appended) through any
-    /// [`CodecStack`] — the generic zero-alloc twin of [`Frame::to_bytes`]:
-    /// same fixed header, with the payload region coded by the stack.
+    /// [`CodecStack`], without owning a [`Frame`]: the fixed header of
+    /// [`Frame::to_bytes`], with the payload region coded by the stack.
+    /// Over [`crate::codec::RsStack`] the bytes equal [`Frame::to_bytes`].
     pub fn encode_parts_with<S: CodecStack + ?Sized>(
         tx_id_mask: u64,
         header: &FrameHeader,
@@ -207,203 +184,73 @@ impl Frame {
             payload.len() <= MAX_PAYLOAD,
             "payload exceeds the length field"
         );
-        out.extend_from_slice(&tx_id_mask.to_be_bytes());
-        out.push(SFD);
-        out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-        out.extend_from_slice(&header.dst.to_be_bytes());
-        out.extend_from_slice(&header.src.to_be_bytes());
-        out.extend_from_slice(&header.protocol.to_be_bytes());
+        write_fixed(tx_id_mask, header, payload.len(), out);
         stack.encode_into(payload, out);
     }
 
-    /// Parses a wire stream through any [`CodecStack`] — the generic
-    /// zero-alloc twin of [`Frame::from_bytes`]: identical field decoding
-    /// and errors, with the coded region's length validated against
-    /// [`CodecStack::encoded_len`] before the stack decodes it into
-    /// `payload_out` (cleared first). Returns the TX mask, header, and
-    /// corrected symbol count.
+    /// Parses a wire stream through any [`CodecStack`]: the field decoding
+    /// and errors of [`Frame::from_bytes`], with the coded region's length
+    /// validated against [`CodecStack::encoded_len`] before the stack
+    /// decodes it into `payload_out` (cleared first). Returns the TX mask,
+    /// header, and corrected symbol count.
     pub fn decode_parts_with<S: CodecStack + ?Sized>(
         bytes: &[u8],
         stack: &mut S,
         payload_out: &mut Vec<u8>,
     ) -> Result<(u64, FrameHeader, usize), FrameError> {
         payload_out.clear();
-        if bytes.len() < Self::FIXED_LEN {
-            return Err(FrameError::Truncated);
-        }
-        let tx_id_mask = u64::from_be_bytes(bytes[0..8].try_into().expect("8 bytes"));
-        if bytes[8] != SFD {
-            return Err(FrameError::BadSfd { found: bytes[8] });
-        }
-        let payload_len = u16::from_be_bytes([bytes[9], bytes[10]]) as usize;
-        let dst = u16::from_be_bytes([bytes[11], bytes[12]]);
-        let src = u16::from_be_bytes([bytes[13], bytes[14]]);
-        let protocol = u16::from_be_bytes([bytes[15], bytes[16]]);
-        let coded_len = stack.encoded_len(payload_len);
-        let available = bytes.len() - Self::FIXED_LEN;
-        if available != coded_len {
-            return Err(FrameError::LengthMismatch {
-                declared: coded_len,
-                available,
-            });
-        }
-        let corrected = stack.decode_into(&bytes[Self::FIXED_LEN..], payload_len, payload_out)?;
-        Ok((tx_id_mask, FrameHeader { dst, src, protocol }, corrected))
+        let (tx_id_mask, header, payload_len) = parse_fixed(bytes)?;
+        let coded = coded_region(bytes, stack.encoded_len(payload_len))?;
+        let corrected = stack.decode_into(coded, payload_len, payload_out)?;
+        Ok((tx_id_mask, header, corrected))
     }
 
-    /// Serializes a frame's parts into `out` (appended) through a reusable
-    /// [`RsCodec`] — the zero-alloc twin of [`Frame::to_bytes`], producing
-    /// byte-identical wire bytes without owning a [`Frame`]. Routed through
-    /// [`Frame::encode_parts_with`] over the RS stack adapter.
-    pub fn encode_parts_into(
-        tx_id_mask: u64,
-        header: &FrameHeader,
-        payload: &[u8],
-        codec: &mut RsCodec,
-        out: &mut Vec<u8>,
-    ) {
-        let mut stack = RsParts {
-            codec,
-            scratch: None,
-        };
-        Frame::encode_parts_with(tx_id_mask, header, payload, &mut stack, out);
-    }
-
-    /// Parses and error-corrects a wire stream into caller-owned buffers —
-    /// the zero-alloc twin of [`Frame::from_bytes`]: identical field
-    /// decoding, identical errors, and the corrected payload lands in
-    /// `payload_out` (cleared first; `coded_scratch` holds the working
-    /// copy of the RS region). Returns the TX mask, header, and corrected
-    /// byte count. Routed through [`Frame::decode_parts_with`] over the RS
-    /// stack adapter.
-    pub fn decode_parts_into(
-        bytes: &[u8],
-        codec: &mut RsCodec,
-        coded_scratch: &mut Vec<u8>,
-        payload_out: &mut Vec<u8>,
-    ) -> Result<(u64, FrameHeader, usize), FrameError> {
-        let mut stack = RsParts {
-            codec,
-            scratch: Some(coded_scratch),
-        };
-        Frame::decode_parts_with(bytes, &mut stack, payload_out)
-    }
-
-    /// [`Self::to_bytes`] with telemetry: counts the frame into
-    /// `phy.frames_encoded`.
-    pub fn to_bytes_instrumented(&self, rs: &ReedSolomon, telemetry: &Registry) -> Vec<u8> {
-        telemetry.counter("phy.frames_encoded").inc();
-        self.to_bytes(rs)
-    }
-
-    /// [`Self::from_bytes`] with telemetry. Successful decodes count into
-    /// `phy.frames_decoded` and their repaired bytes into
-    /// `phy.rs_symbols_corrected`; a Reed–Solomon failure counts into
-    /// `phy.rs_uncorrectable` (plus an `rs_uncorrectable` event); any other
-    /// parse failure — bad SFD, truncation, length mismatch, i.e. loss of
-    /// frame integrity before FEC even runs — counts into
-    /// `phy.frame_sync_errors`.
-    pub fn from_bytes_instrumented(
-        bytes: &[u8],
-        rs: &ReedSolomon,
-        telemetry: &Registry,
-    ) -> Result<(Frame, usize), FrameError> {
-        let result = Frame::from_bytes(bytes, rs);
-        match &result {
-            Ok((_, corrected)) => {
-                telemetry.counter("phy.frames_decoded").inc();
-                telemetry
-                    .counter("phy.rs_symbols_corrected")
-                    .add(*corrected as u64);
-            }
-            Err(FrameError::Uncorrectable) => {
-                telemetry.counter("phy.rs_uncorrectable").inc();
-                telemetry.event("phy.frame", "rs_uncorrectable", &[]);
-            }
-            Err(_) => {
-                telemetry.counter("phy.frame_sync_errors").inc();
-            }
-        }
-        result
-    }
-
-    /// Total on-air MAC bytes for a payload of `payload_len` (header fields
-    /// plus RS overhead; excludes pilot/preamble chips).
-    pub fn wire_len(payload_len: usize, rs: &ReedSolomon) -> usize {
-        let n_chunks = payload_len.div_ceil(crate::rs::PAPER_CHUNK);
-        8 + 1 + 2 + 2 + 2 + 2 + payload_len + n_chunks * rs.parity_len()
-    }
-
-    /// [`Frame::wire_len`] for any [`CodecStack`]: fixed header plus the
-    /// stack's coded length.
+    /// Total on-air MAC bytes for a payload of `payload_len` through any
+    /// [`CodecStack`]: fixed header plus the stack's coded length (excludes
+    /// pilot/preamble chips).
     pub fn wire_len_with<S: CodecStack + ?Sized>(payload_len: usize, stack: &S) -> usize {
         Self::FIXED_LEN + stack.encoded_len(payload_len)
     }
 }
 
-/// The historical RS parts path as a [`CodecStack`]: borrows the caller's
-/// [`RsCodec`] and (for decode) external coded scratch, so
-/// [`Frame::encode_parts_into`] / [`Frame::decode_parts_into`] keep their
-/// exact signatures and buffer contracts while running on the same generic
-/// code as every other stack.
-struct RsParts<'a> {
-    codec: &'a mut RsCodec,
-    /// Working copy of the coded region; `None` on the encode-only path.
-    scratch: Option<&'a mut Vec<u8>>,
+/// Appends the TX mask, [`SFD`] and header fields.
+fn write_fixed(tx_id_mask: u64, header: &FrameHeader, payload_len: usize, out: &mut Vec<u8>) {
+    out.extend_from_slice(&tx_id_mask.to_be_bytes());
+    out.push(SFD);
+    out.extend_from_slice(&(payload_len as u16).to_be_bytes());
+    out.extend_from_slice(&header.dst.to_be_bytes());
+    out.extend_from_slice(&header.src.to_be_bytes());
+    out.extend_from_slice(&header.protocol.to_be_bytes());
 }
 
-impl CodecStack for RsParts<'_> {
-    fn name(&self) -> &str {
-        "rs"
+/// Reads the TX mask, header and declared payload length.
+fn parse_fixed(bytes: &[u8]) -> Result<(u64, FrameHeader, usize), FrameError> {
+    if bytes.len() < Frame::FIXED_LEN {
+        return Err(FrameError::Truncated);
     }
+    let tx_id_mask = u64::from_be_bytes(bytes[0..8].try_into().expect("8 bytes"));
+    if bytes[8] != SFD {
+        return Err(FrameError::BadSfd { found: bytes[8] });
+    }
+    let field = |at: usize| u16::from_be_bytes([bytes[at], bytes[at + 1]]);
+    let header = FrameHeader {
+        dst: field(11),
+        src: field(13),
+        protocol: field(15),
+    };
+    Ok((tx_id_mask, header, field(9) as usize))
+}
 
-    fn encoded_len(&self, payload_len: usize) -> usize {
-        let n_chunks = payload_len.div_ceil(crate::rs::PAPER_CHUNK);
-        payload_len + n_chunks * self.codec.parity_len()
+/// The coded region after the fixed header, which must be `coded_len` long.
+fn coded_region(bytes: &[u8], coded_len: usize) -> Result<&[u8], FrameError> {
+    let coded = &bytes[Frame::FIXED_LEN..];
+    if coded.len() != coded_len {
+        return Err(FrameError::LengthMismatch {
+            declared: coded_len,
+            available: coded.len(),
+        });
     }
-
-    fn correction(&self) -> Correction {
-        let t = self.codec.correction_capacity();
-        Correction {
-            t_per_block: t,
-            block_len: crate::rs::PAPER_CHUNK + self.codec.parity_len(),
-            burst_tolerance: t,
-        }
-    }
-
-    fn encode_into(&mut self, payload: &[u8], out: &mut Vec<u8>) {
-        self.codec.encode_payload_into(payload, out);
-    }
-
-    fn decode_into(
-        &mut self,
-        coded: &[u8],
-        payload_len: usize,
-        payload_out: &mut Vec<u8>,
-    ) -> Result<usize, CodecError> {
-        let scratch = self
-            .scratch
-            .as_deref_mut()
-            .expect("decode requires coded scratch");
-        scratch.clear();
-        scratch.extend_from_slice(coded);
-        let corrected = self.codec.decode_payload_in_place(scratch, payload_len)?;
-        self.codec
-            .extract_payload_into(scratch, payload_len, payload_out);
-        Ok(corrected)
-    }
-
-    fn encode_ref(&self, payload: &[u8]) -> Vec<u8> {
-        self.codec.reference().encode_payload(payload)
-    }
-
-    fn decode_ref(&self, coded: &[u8], payload_len: usize) -> Result<(Vec<u8>, usize), CodecError> {
-        let mut buf = coded.to_vec();
-        Ok(self
-            .codec
-            .reference()
-            .decode_payload(&mut buf, payload_len)?)
-    }
+    Ok(coded)
 }
 
 /// Well-known protocol discriminators used by the MAC.
@@ -421,6 +268,7 @@ pub mod protocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::RsStack;
     use proptest::prelude::*;
 
     fn rs() -> ReedSolomon {
@@ -454,7 +302,7 @@ mod tests {
             let frame = sample_frame(vec![0xab; len]);
             assert_eq!(
                 frame.to_bytes(&rs()).len(),
-                Frame::wire_len(len, &rs()),
+                Frame::wire_len_with(len, &RsStack::paper()),
                 "len {len}"
             );
         }
@@ -536,24 +384,22 @@ mod tests {
 
     #[test]
     fn parts_codec_matches_owned_frame_path() {
-        let mut codec = RsCodec::paper();
+        let mut stack = RsStack::paper();
         let frame = sample_frame((0..300u16).map(|i| (i % 256) as u8).collect());
         let mut wire = Vec::new();
-        Frame::encode_parts_into(
+        Frame::encode_parts_with(
             frame.tx_id_mask,
             &frame.header,
             &frame.payload,
-            &mut codec,
+            &mut stack,
             &mut wire,
         );
         assert_eq!(wire, frame.to_bytes(&rs()));
         wire[20] ^= 0x41;
         wire[260] ^= 0x7f;
-        let mut scratch = Vec::new();
         let mut payload = Vec::new();
         let (mask, header, corrected) =
-            Frame::decode_parts_into(&wire, &mut codec, &mut scratch, &mut payload)
-                .expect("repairable");
+            Frame::decode_parts_with(&wire, &mut stack, &mut payload).expect("repairable");
         let (parsed, fixed) = Frame::from_bytes(&wire, &rs()).expect("repairable");
         assert_eq!(mask, parsed.tx_id_mask);
         assert_eq!(header, parsed.header);
@@ -563,24 +409,23 @@ mod tests {
 
     #[test]
     fn parts_codec_reports_same_errors() {
-        let mut codec = RsCodec::paper();
-        let mut scratch = Vec::new();
+        let mut stack = RsStack::paper();
         let mut payload = Vec::new();
         let frame = sample_frame(vec![1, 2, 3]);
         let mut bytes = frame.to_bytes(&rs());
         bytes[8] = 0x00;
         assert_eq!(
-            Frame::decode_parts_into(&bytes, &mut codec, &mut scratch, &mut payload),
+            Frame::decode_parts_with(&bytes, &mut stack, &mut payload),
             Err(FrameError::BadSfd { found: 0x00 })
         );
         assert_eq!(
-            Frame::decode_parts_into(&[0u8; 5], &mut codec, &mut scratch, &mut payload),
+            Frame::decode_parts_with(&[0u8; 5], &mut stack, &mut payload),
             Err(FrameError::Truncated)
         );
         let mut short = frame.to_bytes(&rs());
         short.pop();
         assert!(matches!(
-            Frame::decode_parts_into(&short, &mut codec, &mut scratch, &mut payload),
+            Frame::decode_parts_with(&short, &mut stack, &mut payload),
             Err(FrameError::LengthMismatch { .. })
         ));
     }

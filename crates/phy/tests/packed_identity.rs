@@ -9,6 +9,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use vlc_phy::codec::RsStack;
 use vlc_phy::manchester::{
     dc_balance, manchester_decode, manchester_decode_bits, manchester_encode,
     manchester_encode_bits, Chip,
@@ -139,19 +140,18 @@ proptest! {
         at_pos in any::<u32>(),
     ) {
         let rs = ReedSolomon::paper();
-        let mut codec = RsCodec::paper();
+        let mut stack = RsStack::paper();
         let header = FrameHeader { dst: 7, src: 3, protocol: 1 };
         let frame = Frame::new(mask, header, payload.clone());
         let mut wire = Vec::new();
-        Frame::encode_parts_into(mask, &header, &payload, &mut codec, &mut wire);
+        Frame::encode_parts_with(mask, &header, &payload, &mut stack, &mut wire);
         prop_assert_eq!(&wire, &frame.to_bytes(&rs));
         if !wire.is_empty() {
             let p = at_pos as usize % wire.len();
             wire[p] ^= 0x5a;
         }
-        let mut scratch = Vec::new();
         let mut payload_out = Vec::new();
-        let parts = Frame::decode_parts_into(&wire, &mut codec, &mut scratch, &mut payload_out);
+        let parts = Frame::decode_parts_with(&wire, &mut stack, &mut payload_out);
         match Frame::from_bytes(&wire, &rs) {
             Ok((f, fixed)) => {
                 let (got_mask, got_header, got_fixed) = parts.expect("parts path must agree");

@@ -9,6 +9,8 @@ use vlc_alloc::analysis::jain_fairness;
 use vlc_channel::{ChannelMatrix, RxOptics};
 use vlc_geom::{Pose, Room, TxGrid};
 use vlc_mac::{Controller, ControllerConfig};
+use vlc_telemetry::Registry;
+use vlc_trace::Span;
 
 fn main() {
     // A 1.5 m × 12 m corridor with a 2 × 8 strip of luminaires. (The grid
@@ -35,7 +37,7 @@ fn main() {
         let y2 = 11.0 - step as f64; // south-bound
         let rxs = vec![Pose::face_up(0.75, y1, 0.9), Pose::face_up(0.75, y2, 0.9)];
         let channel = ChannelMatrix::compute(&grid, &rxs, 25f64.to_radians(), &RxOptics::paper());
-        let plan = controller.plan(&channel);
+        let plan = controller.plan(&channel, None, &Registry::noop(), &Span::noop());
 
         let spot_str = |rx: usize| {
             plan.beamspot_for(rx)

@@ -27,8 +27,8 @@ fn report_driven_plan_matches_truth() {
     }
     assert!(ctl.all_reported());
     let estimated = ctl.estimated_channel(cal);
-    let plan_est = ctl.plan(&estimated);
-    let plan_truth = ctl.plan(truth);
+    let plan_est = ctl.plan(&estimated, None, &Registry::noop(), &Span::noop());
+    let plan_truth = ctl.plan(truth, None, &Registry::noop(), &Span::noop());
     assert_eq!(plan_est.active_txs(), plan_truth.active_txs());
     assert_eq!(plan_est.beamspots.len(), plan_truth.beamspots.len());
 }

@@ -655,18 +655,18 @@ fn plan_entry_points_keep_counters_histogram_counts_and_span_names() {
     };
 
     section("plan", &mut |reg, root| {
-        plan_digest(&controller(1.2).plan_traced(&channel, reg, root))
+        plan_digest(&controller(1.2).plan(&channel, None, reg, root))
     });
     section("plan cache miss then hit", &mut |reg, root| {
         let ctl = controller(1.2);
         let mut cache = PlanCache::new();
-        let miss = ctl.plan_cached_traced(&channel, &mut cache, reg, root);
-        let hit = ctl.plan_cached_traced(&channel, &mut cache, reg, root);
+        let miss = ctl.plan(&channel, Some(&mut cache), reg, root);
+        let hit = ctl.plan(&channel, Some(&mut cache), reg, root);
         assert_eq!(hit, miss);
         plan_digest(&hit)
     });
     section("zero budget", &mut |reg, root| {
-        plan_digest(&controller(0.0).plan_traced(&channel, reg, root))
+        plan_digest(&controller(0.0).plan(&channel, None, reg, root))
     });
     section("building", &mut |reg, root| {
         let config = BuildingConfig::paper(3, 3);
@@ -754,7 +754,6 @@ counter channel.cache.partial = 0
 counter channel.cache.updates = 438
 counter channel.fov.culled = 0
 counter channel.fov.live = 105336
-counter mac.plan.cache_misses = 438
 counter mac.rounds_planned = 438
 counter par.pool.created = 1
 histogram cell.tick_s n=60
