@@ -851,15 +851,15 @@ pub fn run_with_arq(
     let mut delivered = 0usize;
     let mut attempts = 0usize;
     let mut time_s = 0.0;
+    // One pipeline reused across every payload and retry: after the first
+    // attempt warms its buffers, retransmissions allocate nothing.
+    let mut pipeline = FramePipeline::new(cfg);
     // Frame air time (guard + chips + guard) matches `run`'s accounting.
-    let wire_len = Frame::wire_len_with(cfg.payload_len, &RsStack::paper());
+    let wire_len = Frame::wire_len_with(cfg.payload_len, &pipeline.stack);
     let chips_per_frame = (wire_len + PREAMBLE_BYTES.len()) as f64 * 16.0;
     let spc = cfg.sample_rate_hz / cfg.symbol_rate_hz;
     let air_s = ((8.0 * spc) * 2.0 + chips_per_frame * spc).ceil() / cfg.sample_rate_hz;
 
-    // One pipeline reused across every payload and retry: after the first
-    // attempt warms its buffers, retransmissions allocate nothing.
-    let mut pipeline = FramePipeline::new(cfg);
     let noop = Registry::noop();
     for p in 0..payloads {
         for attempt in 0..=max_retries {
