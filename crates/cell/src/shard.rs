@@ -5,10 +5,10 @@
 //! [`ChannelUpdater`], the controller, the last allocation (reused while
 //! the channel stays bitwise unchanged), and — under the optimal policy —
 //! the warm-start seed carried from the previous plan (and, on handover,
-//! from the source cell's allocation). Replans run on
-//! the shard's own *sequential* inner pool: the coordinator parallelises
-//! **across** shards, never inside one, so the per-shard computation is
-//! the exact `jobs = 1` code path regardless of `DENSEVLC_JOBS`.
+//! from the source cell's allocation). Replans run on the shard's own
+//! *sequential* inner pool: the coordinator parallelises **across**
+//! shards, never inside one, so the per-shard computation is the exact
+//! `jobs = 1` code path regardless of `DENSEVLC_JOBS`.
 //!
 //! A shard never allocates on a tick that doesn't touch it; all state
 //! below persists across ticks and is reused in place.
